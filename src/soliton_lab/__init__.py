@@ -1,10 +1,11 @@
 """Rotationally symmetric translating solitons of power mean curvature flow.
 
-Profiles are built by a series launch at the axis followed by non-stiff
-phase-variable integration; the package evaluates and fits the far-field
-expansions and verifies every computable structural property (slope
-bounds, phase monotonicity, PDE residual, convexity, blow-down, growth,
-interior gradient bound, refinement agreement).
+Profiles are built by a series launch at the axis, explicit and then
+implicit integration in phase variables, and an algebraic slaved tail;
+the package evaluates and fits the far-field expansions and verifies
+every computable structural property (slope bounds, phase monotonicity,
+PDE residual, convexity, blow-down, growth, interior gradient bound,
+refinement agreement).
 """
 
 from .asymptotics import (

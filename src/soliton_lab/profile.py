@@ -37,11 +37,13 @@ the integration hands off, mid-trajectory, to an L-stable implicit
 Runge-Kutta method (scipy's Radau IIA) with an analytic Jacobian.  The
 implicit stretch is deliberately short: as soon as the defect is small
 enough, integrating it at all is a losing game against float rounding,
-and the tail switches to solving the slaved algebraic balance node by
-node (with the radius accumulated by a quintic Hermite quadrature that
-the endpoint derivative data makes exact through degree five).  For
-larger alpha the defect reaches the slave gate before the rate budget
-trips, and the implicit bridge is empty.
+and the tail switches to solving the slaved algebraic balance.  That
+balance pins each tail node from its own t alone, so the whole tail is
+one array Newton iteration over all of its nodes, and the radius is
+accumulated by a quintic Hermite quadrature that the endpoint
+derivative data makes exact through degree five.  For larger alpha the
+defect reaches the slave gate before the rate budget trips, and the
+implicit bridge is empty.
 
 Grid nodes are exact integrator step endpoints in either integrated
 regime: the solver is advanced node to node on a grid uniform in
@@ -58,7 +60,14 @@ import numpy as np
 from scipy.integrate import Radau
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
-from .model import ModelParams, g_eval, is_log_branch, _invert_slope, _slope_map_deriv
+from .model import (
+    ModelParams,
+    g_eval,
+    is_log_branch,
+    _invert_slope,
+    _invert_slope_np,
+    _slope_map_deriv,
+)
 from .series import OriginSeries, series_coefficients, series_eval
 
 __all__ = ["RadialProfile", "SolverError", "solve_profile"]
@@ -77,8 +86,8 @@ _STIFFNESS_BUDGET = 3.0
 # equation, which the third-order slaved family reproduces to a relative
 # accuracy ((2/alpha) |z|)^4, while an integrated z carries a noise floor
 # that the enormous Jacobian turns into visible residual.  The tail is
-# computed node by node from the balance; the coefficient keeps the
-# crossover residual near 2e-10 for every alpha.
+# solved from the balance at every node at once; the coefficient keeps
+# the crossover residual near 2e-10 for every alpha.
 _SLAVE_COEF = 1.6e-3
 
 
@@ -302,13 +311,14 @@ def _make_jac(n: int, alpha: float):
     return jac
 
 
-def _balance_state(n: int, alpha: float, t: float, z: float, y_seed: float):
-    """Balance pieces F, F_z, F_s and the estimate D2 at a point (z, t).
+def _balance_state(n: int, alpha: float, t, z, y_seed):
+    """Balance pieces F, F_z, F_s and the estimate D2 at points (z, t).
 
     F = 1 + n z + alpha (n-1) z y^2 with y = y(z, s) defined through
     (n-1) g(y) = (1 + z) e^s.  D1 = -F_s/F_z is the derivative the balance
     family would have if F vanished on it exactly; D2 folds D1's own
-    partials back in.  All y partials go through pp = g''/g'.
+    partials back in.  All y partials go through pp = g''/g'.  Element-wise
+    over float64 arrays t, z and y_seed (the inversion's starting points).
     """
     m = float(n - 1)
     an = alpha * m
@@ -318,10 +328,10 @@ def _balance_state(n: int, alpha: float, t: float, z: float, y_seed: float):
         gp = 1.0
         pp = 0.0
     else:
-        y = _invert_slope(alpha, v, y_seed)
+        y = _invert_slope_np(alpha, v, y_seed)
+        gp = _slope_map_deriv(alpha, y)
         w = 1.0 + y * y
         q = 1.0 + alpha * y * y
-        gp = w ** (0.5 * (alpha - 3.0)) * q
         pp = y * (alpha - 1.0) * (3.0 + alpha * y * y) / (w * q)
     y_z = v / ((1.0 + z) * gp)
     y_s = v / gp
@@ -340,8 +350,8 @@ def _balance_state(n: int, alpha: float, t: float, z: float, y_seed: float):
     return y, big_f, f_z, f_s, d2
 
 
-def _slaved_defect(n: int, alpha: float, t: float, z_seed: float, y_seed: float):
-    """Defect z and slope y at time t from the slaved balance.
+def _slaved_tail(n: int, alpha: float, t: np.ndarray):
+    """Defect z and slope y at the tail nodes t from the slaved balance.
 
     Deep in the tail the trajectory satisfies dz/ds = -F(z, s), and dz/ds
     is itself slaved to the balance.  Iterating the implicit function
@@ -351,42 +361,50 @@ def _slaved_defect(n: int, alpha: float, t: float, z_seed: float, y_seed: float)
     centered differences (the family is glassy smooth, so the cheap
     stencil loses nothing).  Solving F(z, s) + D3(z, s) = 0 reproduces
     the trajectory to a relative accuracy of about 2 ((2/alpha) |z|)^4,
-    which is what caps the entry threshold.  Newton converges in a few
-    steps from the neighboring node.
+    which is what caps the entry threshold.
+
+    The nodes are independent problems, so one Newton iteration runs on
+    all of them at once and a mask freezes each node once it has
+    converged.  Each node is seeded from its own t, by the slope on z = 0
+    and the defect that zeroes F there, so its result does not depend on
+    which other nodes share the array.
     """
-    identity = is_log_branch(alpha)
     m = float(n - 1)
-    z = float(z_seed)
-    y = float(y_seed)
-    prev = math.inf
+    y = _invert_slope_np(alpha, t / m)
+    z = -1.0 / (n + alpha * m * y * y)
+    ds = 1e-4
+    t_up = t * math.exp(ds)
+    t_down = t * math.exp(-ds)
+    prev = np.full_like(t, math.inf)
+    live = np.arange(t.size)
     for _ in range(80):
-        y, big_f, f_z, f_s, _ = _balance_state(n, alpha, t, z, y)
-        dz = 1e-4 * abs(z) + 1e-300
+        tl, zl = t[live], z[live]
+        yl, big_f, f_z, f_s, _ = _balance_state(n, alpha, tl, zl, y[live])
+        dz = 1e-4 * np.abs(zl) + 1e-300
         d2_z = (
-            _balance_state(n, alpha, t, z + dz, y)[4]
-            - _balance_state(n, alpha, t, z - dz, y)[4]
+            _balance_state(n, alpha, tl, zl + dz, yl)[4]
+            - _balance_state(n, alpha, tl, zl - dz, yl)[4]
         ) / (2.0 * dz)
-        ds = 1e-4
         d2_s = (
-            _balance_state(n, alpha, t * math.exp(ds), z, y)[4]
-            - _balance_state(n, alpha, t * math.exp(-ds), z, y)[4]
+            _balance_state(n, alpha, t_up[live], zl, yl)[4]
+            - _balance_state(n, alpha, t_down[live], zl, yl)[4]
         ) / (2.0 * ds)
         d3 = -(f_s + d2_s) / (f_z + d2_z)
         step = -(big_f + d3) / f_z
-        z += step
-        a = abs(step)
-        if a <= 1e-14 * abs(z):
+        zl = zl + step
+        z[live] = zl
+        y[live] = yl
+        a = np.abs(step)
+        # Converged, or contraction stalled at the rounding floor of the
+        # map (re-inverting y makes F jitter by a few ulp).
+        done = (a <= 1e-14 * np.abs(zl)) | ((a >= 0.5 * prev[live]) & (a <= 1e-9 * np.abs(zl)))
+        prev[live] = a
+        live = live[~done]
+        if live.size == 0:
             break
-        if a >= 0.5 * prev and a <= 1e-9 * abs(z):
-            # Contraction has stalled at the rounding floor of the map
-            # (re-inverting y makes F jitter by a few ulp); z is converged.
-            break
-        prev = a
     else:
-        raise SolverError(f"slaved balance did not converge at t = {t:.6g}")
-    v = (1.0 + z) * t / m
-    y = v if identity else _invert_slope(alpha, v, y)
-    return z, y
+        raise SolverError(f"slaved balance did not converge at t = {t[live[0]]:.6g}")
+    return z, _invert_slope_np(alpha, (1.0 + z) * t / m, y)
 
 
 def _advance_to(solver, t_target: float) -> None:
@@ -560,8 +578,10 @@ def solve_profile(
     onto (n - 1) g(y) = (1 + z) t at every node.  Once the far-field
     relaxation rate exceeds the explicit stability budget per grid step,
     integration hands off to an L-stable implicit method; once the defect
-    passes the slave gate (|z| below 0.0016 alpha) the tail is computed
-    from the slaved algebraic balance instead of being integrated at all.
+    passes the slave gate (|z| below 0.0016 alpha) the remaining nodes are
+    not integrated at all: one array Newton iteration solves the slaved
+    algebraic balance at all of them together, each node seeded from its
+    own t, and the radius is summed over them by Hermite quadrature.
 
     ``grid_spacing`` defaults to 0.01 for alpha >= 1 and 0.00325 below:
     the transition region steepens like 2/alpha in log t, and the default
@@ -646,33 +666,12 @@ def solve_profile(
     y_nodes = np.empty(n_seg + 1)
     r_nodes[0], z_nodes[0], y_nodes[0] = r0, z0, dr0
     slave_gate = alpha * _SLAVE_COEF
-    mode = "explicit"
+    explicit = True
     seed = dr0
-    z_run, y_run = z0, dr0
-    sec_run = (0.0, 0.0)
+    tail = n_seg + 1  # first slaved node; past the end until the gate trips
     for k in range(1, n_seg + 1):
         tk = float(t_nodes[k])
-        if mode == "slaved":
-            t_prev = float(t_nodes[k - 1])
-            y_prev = y_run
-            f2a, f3a = sec_run
-            z_run, y_run = _slaved_defect(n, alpha, tk, z_run, y_run)
-            f2b, f3b = _second_and_third(n, alpha, tk, y_run, z_run)
-            # Integral of the quintic Hermite matching (y, r'', r''') at
-            # both ends; exact through degree five, and the tail slope is
-            # a power of t plus corrections orders below anything kept.
-            ht = tk - t_prev
-            r_nodes[k] = (
-                r_nodes[k - 1]
-                + 0.5 * ht * (y_prev + y_run)
-                + ht * ht * (f2a - f2b) / 10.0
-                + ht * ht * ht * (f3a + f3b) / 120.0
-            )
-            z_nodes[k] = z_run
-            y_nodes[k] = y_run
-            sec_run = (f2b, f3b)
-            continue
-        if mode == "explicit":
+        if explicit:
             stepper.advance_to(tk)
             rk, zk, seed = stepper.r, stepper.z, stepper.y
         else:
@@ -691,24 +690,40 @@ def solve_profile(
             dydz = tk / (m * _slope_map_deriv(alpha, yk))
         seed = yk
         y_nodes[k] = yk
-        z_run, y_run = zk, yk
         if k == n_seg:
             break
         if abs(zk) <= slave_gate:
-            mode = "slaved"
-            sec_run = _second_and_third(n, alpha, tk, yk, zk)
-        elif mode == "explicit":
+            tail = k + 1
+            z_nodes[tail:], y_nodes[tail:] = _slaved_tail(n, alpha, t_nodes[tail:])
+            break
+        if explicit:
             rate = n + alpha * m * (yk * yk + 2.0 * zk * yk * dydz)
             if rate > rate_cap:
                 solver = Radau(
                     _make_rhs(n, alpha), tk, np.array([rk, zk]), t_nodes[-1],
                     rtol=rtol, atol=atol, jac=_make_jac(n, alpha),
                 )
-                mode = "implicit"
+                explicit = False
             else:
                 stepper.project(yk)
 
     ddr_nodes, dddr_nodes = _second_and_third(n, alpha, t_nodes, y_nodes, z_nodes)
+
+    if tail <= n_seg:
+        # Integral over each tail step of the quintic Hermite matching
+        # (y, r'', r''') at both ends; exact through degree five, and the
+        # tail slope is a power of t plus corrections orders below
+        # anything kept.  Summed from the gate node outward.
+        ends = slice(tail - 1, None)
+        ht = np.diff(t_nodes[ends])
+        y, f2, f3 = y_nodes[ends], ddr_nodes[ends], dddr_nodes[ends]
+        steps = (
+            0.5 * ht * (y[:-1] + y[1:])
+            + ht * ht * (f2[:-1] - f2[1:]) / 10.0
+            + ht * ht * ht * (f3[:-1] + f3[1:]) / 120.0
+        )
+        steps[0] += r_nodes[tail - 1]
+        r_nodes[tail:] = np.cumsum(steps)
 
     grid = np.concatenate(([0.0], t_nodes))
     r = np.concatenate(([0.0], r_nodes))

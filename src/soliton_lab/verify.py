@@ -322,12 +322,12 @@ def scan_gradient_bound(
         raise ValueError("need center offsets >= 0 and radii > 0")
     reach = max(c + r for c, r in zip(cs, rs))
     profile = solve_profile(params, max(reach, 1.0), tol)
+    grads = profile.evaluate(cs)[1].tolist()
+    rims = profile.evaluate([c + rho for c, rho in zip(cs, rs)])[0].tolist()
     samples = []
-    for c, rho in zip(cs, rs):
-        grad = profile.evaluate(c)[1] if c > 0.0 else 0.0
-        m_val = profile.evaluate(c + rho)[0]
+    for c, rho, grad, m_val in zip(cs, rs, grads, rims):
         ratio = math.log(max(grad, 1.0)) / (1.0 + (m_val / rho) ** 2)
-        samples.append(ScanSample(c, rho, float(m_val), float(grad), float(ratio)))
+        samples.append(ScanSample(c, rho, m_val, grad, ratio))
     sup_ratio = max(s.ratio for s in samples)
     return GradientScanReport(params=params, samples=samples, sup_ratio=sup_ratio)
 
@@ -336,21 +336,23 @@ def scan_gradient_bound(
 # refinement agreement
 # ----------------------------------------------------------------------
 
-def check_refinement_agreement(params: ModelParams, t_max: float, tol: float) -> CheckReport:
-    """Agreement between a solve and a strictly finer solve.
+def check_refinement_agreement(profile: RadialProfile) -> CheckReport:
+    """Agreement between a solved profile and a strictly finer solve.
 
-    The finer run tightens the tolerance tenfold (floored at the solver
-    minimum) and halves the series switch radius, so launch and stepping
-    errors are both perturbed.  Metric is the sup over the coarse grid of
-    |r_a - r_b| / (1 + |r_a|); r reaches 1e4 and beyond, so only the
-    relative form is meaningful against 100*tol.
+    The finer run tightens the profile's tolerance tenfold (floored at the
+    solver minimum) and halves its series switch radius, so launch and
+    stepping errors are both perturbed.  Metric is the sup over the coarse
+    grid of |r_a - r_b| / (1 + |r_a|); r reaches 1e4 and beyond, so only
+    the relative form is meaningful against 100*tol.
     """
-    fine_tol = max(tol / 10.0, 1e-13)
-    a = solve_profile(params, t_max, tol)
-    b = solve_profile(params, t_max, fine_tol, switch_radius=a.switch_radius / 2.0)
-    t = a.grid[1:]
-    rb = b.evaluate(t)[0]
-    gap = np.abs(a.r[1:] - rb) / (1.0 + np.abs(a.r[1:]))
+    tol = profile.tol
+    fine = solve_profile(
+        profile.params, profile.t_max, max(tol / 10.0, 1e-13),
+        switch_radius=profile.switch_radius / 2.0,
+    )
+    t = profile.grid[1:]
+    ra = profile.r[1:]
+    gap = np.abs(ra - fine.evaluate(t)[0]) / (1.0 + np.abs(ra))
     metric = float(gap.max())
     detail = f"worst normalized gap {metric:.3e} at t={t[int(np.argmax(gap))]:.4g}"
     return _report("refinement", metric, 100.0 * tol, detail)
@@ -364,7 +366,7 @@ def run_battery(profile: RadialProfile, rng_seed: int = 0) -> list[CheckReport]:
     """Run every profile-level check on one solved profile.
 
     The PDE residual uses 1000 seeded random points in the half-radius
-    ball; the refinement check re-solves at the profile's own settings.
+    ball; the refinement check compares the profile with one finer solve.
     """
     from .phase import phase_trajectory
 
@@ -378,5 +380,5 @@ def run_battery(profile: RadialProfile, rng_seed: int = 0) -> list[CheckReport]:
         check_convexity(profile),
         check_blow_down(profile),
         check_growth(profile),
-        check_refinement_agreement(profile.params, profile.t_max, profile.tol),
+        check_refinement_agreement(profile),
     ]

@@ -239,7 +239,7 @@ def test_criterion_10a_refinement_agreement(say):
     worst = 0.0
     for n, alpha in cells:
         for tol in (1e-8, 1e-10):
-            rep = check_refinement_agreement(ModelParams(n, alpha), 200.0, tol)
+            rep = check_refinement_agreement(solve_profile(ModelParams(n, alpha), 200.0, tol))
             worst = max(worst, rep.metric / rep.tolerance)
             assert rep.passed, ((n, alpha), tol, rep.detail)
     say(

@@ -83,6 +83,28 @@ def test_explicit_stretch_inverts_once_per_node(monkeypatch):
     assert len(calls) == len(prof.phase_z) - 1
 
 
+@pytest.mark.parametrize("n, alpha", [(2, 0.5), (3, 2.0), (5, 3.0), (4, 0.75)])
+def test_tail_node_independent_of_batch(monkeypatch, n, alpha):
+    """A slaved node solved alone equals the same node in the full batch."""
+    tails = []
+    slaved_tail = profile_module._slaved_tail
+
+    def recording(n, alpha, t):
+        tails.append(t.copy())
+        return slaved_tail(n, alpha, t)
+
+    monkeypatch.setattr(profile_module, "_slaved_tail", recording)
+    prof = solve_profile(ModelParams(n, alpha), 2000.0, 1e-10)
+    (t,) = tails
+    first = len(prof.phase_z) - len(t)
+    z_all, y_all = prof.phase_z[first:], prof.dr[first + 1:]
+    for j in np.linspace(0, len(t) - 1, 7).astype(int):
+        z, y = slaved_tail(n, alpha, t[j:j + 1])
+        assert z[0] == z_all[j] and y[0] == y_all[j], j
+    z, y = slaved_tail(n, alpha, t[3:40])
+    assert np.array_equal(z, z_all[3:40]) and np.array_equal(y, y_all[3:40])
+
+
 def test_origin_row(profile_of):
     prof = profile_of(4, 3.0)
     assert prof.grid[0] == 0.0

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from soliton_lab import verify as verify_module
 from soliton_lab.model import ModelParams
 from soliton_lab.phase import phase_trajectory
+from soliton_lab.profile import solve_profile
 from soliton_lab.verify import (
     CheckReport,
     blow_down_deviation,
@@ -148,7 +152,7 @@ def test_growth_honest_at_slow_cell(profile_of):
 
 
 def test_refinement_agreement():
-    rep = check_refinement_agreement(ModelParams(3, 2.0), 200.0, 1e-8)
+    rep = check_refinement_agreement(solve_profile(ModelParams(3, 2.0), 200.0, 1e-8))
     assert rep.name == "refinement"
     assert rep.passed
     assert rep.metric < 1e-8
@@ -173,6 +177,20 @@ def test_scan_gradient_bound_small():
     assert report.sup_ratio == report.samples[1].ratio
 
 
+def test_scan_samples_match_pointwise_evaluation():
+    """Batched evaluation gives the samples of one scalar call per point, bitwise."""
+    params = ModelParams(2, 0.5)
+    centers, radii = default_scan_geometry(200.0)
+    centers, radii = [0.0] + centers, [0.5] + radii
+    report = scan_gradient_bound(params, centers, radii)
+    profile = solve_profile(params, max(c + r for c, r in zip(centers, radii)), 1e-10)
+    for c, rho, sample in zip(centers, radii, report.samples):
+        grad = profile.evaluate(c)[1] if c > 0.0 else 0.0
+        m_val = profile.evaluate(c + rho)[0]
+        ratio = math.log(max(grad, 1.0)) / (1.0 + (m_val / rho) ** 2)
+        assert sample == (c, rho, m_val, grad, ratio)
+
+
 def test_scan_gradient_bound_validation():
     params = ModelParams(2, 1.0)
     with pytest.raises(ValueError):
@@ -183,6 +201,21 @@ def test_scan_gradient_bound_validation():
         scan_gradient_bound(params, [1.0], [-0.5])
     with pytest.raises(ValueError):
         scan_gradient_bound(params, [-1.0], [0.5])
+
+
+def test_run_battery_solves_once(profile_of, monkeypatch):
+    """The refinement check reuses the battery's profile: one finer solve."""
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(kwargs)
+        return solve_profile(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "solve_profile", recording)
+    profile = profile_of(3, 2.0)
+    reports = run_battery(profile)
+    assert solves == [{"switch_radius": profile.switch_radius / 2.0}]
+    assert reports[-1].name == "refinement" and reports[-1].passed
 
 
 def test_run_battery_all_green(profile_of):
