@@ -1,11 +1,11 @@
 """Rotationally symmetric translating solitons of power mean curvature flow.
 
-Profiles are built by a series launch at the axis, explicit and then
-implicit integration in phase variables, and an algebraic slaved tail;
-the package evaluates and fits the far-field expansions and verifies
-every computable structural property (slope bounds, phase monotonicity,
-PDE residual, convexity, blow-down, growth, interior gradient bound,
-refinement agreement).
+Profiles are built by a series launch at the axis, explicit integration
+in phase variables, and a far-field power series once the trajectory has
+relaxed onto its slow manifold; the package evaluates and fits the
+far-field expansions and verifies every computable structural property
+(slope bounds, phase monotonicity, PDE residual, convexity, blow-down,
+growth, interior gradient bound, refinement agreement).
 """
 
 from .asymptotics import (

@@ -8,9 +8,7 @@ one check failed, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .asymptotics import fit_far_field
@@ -105,22 +103,11 @@ def _table_cell(n: int, alpha: float, t_max: float, tol: float) -> dict:
 
 
 def _run_table(config: RunConfig) -> int:
-    cells = [(n, a) for n in TABLE_DIMENSIONS for a in TABLE_EXPONENTS]
-    workers = 1
-    env = os.environ.get("SOLITON_LAB_THREADS")
-    if env:
-        try:
-            workers = max(1, int(env))
-        except ValueError:
-            raise ValueError(f"SOLITON_LAB_THREADS must be an integer, got {env!r}")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            rows = list(
-                pool.map(lambda cell: _table_cell(*cell, config.t_max, config.tol), cells)
-            )
-    else:
-        rows = [_table_cell(n, a, config.t_max, config.tol) for n, a in cells]
-    rows.sort(key=lambda row: (row["n"], row["alpha"]))
+    rows = [
+        _table_cell(n, a, config.t_max, config.tol)
+        for n in TABLE_DIMENSIONS
+        for a in TABLE_EXPONENTS
+    ]
     _write(table_document(rows, config.format), config.output_path)
     return 0
 

@@ -87,7 +87,7 @@ def validate_params(n, alpha) -> ModelParams:
         If ``n`` is not an integer >= 2 or ``alpha`` is not finite and
         positive.
     """
-    return ModelParams(_check_dimension(n), _check_exponent(alpha))
+    return ModelParams(n, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -129,28 +129,6 @@ def _slope_map(alpha: float, y: float) -> float:
 
 
 _slope_map_array = np.vectorize(_slope_map, otypes=[float])
-
-
-def _slope_map_np(alpha: float, y: np.ndarray) -> np.ndarray:
-    """The slope map g element-wise on a float64 array, in numpy arithmetic.
-
-    The two forms of :func:`_slope_map`, evaluated with numpy's array pow.
-    That pow is not correctly rounded on every CPU: with AVX-512, 122 of
-    4M random adjacent pairs (y, next float) gave g(y) > g(next).  So this
-    g serves only as the Newton residual of :func:`_invert_slope_np`, and
-    :func:`g_eval` stays on the scalar map.
-    """
-    e = (alpha - 1.0) / 2.0
-    if alpha >= 1.0:
-        return y * (1.0 + y * y) ** e
-    out = np.empty_like(y)
-    big = np.abs(y) > 1.0
-    small = ~big
-    ys = y[small]
-    out[small] = ys * (1.0 + ys * ys) ** e
-    yb = y[big]
-    out[big] = np.copysign(np.abs(yb) ** alpha * (1.0 + 1.0 / (yb * yb)) ** e, yb)
-    return out
 
 
 def _slope_map_deriv(alpha: float, y):
@@ -206,47 +184,6 @@ def _invert_slope(alpha: float, v: float, seed: float | None = None) -> float:
             y_new = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * max(y, 1.0)
         y = y_new
     return y
-
-
-def _invert_slope_np(alpha: float, v: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
-    """Solve g(y) = v element-wise for y >= 0, given a float64 array v >= 0.
-
-    The iteration of :func:`_invert_slope` on every element at once, with
-    the residual from :func:`_slope_map_np`: Newton inside a bisection
-    bracket per element, converged elements frozen by a mask.  ``seed``,
-    if given, holds a positive starting point per element; otherwise each
-    element starts from the scalar code's default seed.  Every element's
-    iterates depend on its own v and seed alone, so its result does not
-    depend on the array it is solved in.  It agrees with the scalar
-    inversion to a few ulp, not bitwise, since the two g differ in the
-    last bits.
-    """
-    if is_log_branch(alpha):
-        return v.copy()
-    if seed is None:
-        guess = v ** (1.0 / alpha)
-        seed = np.minimum(v, guess) if alpha > 1.0 else np.maximum(v, guess)
-    out = np.zeros_like(v)
-    idx = np.flatnonzero(v > 0.0)
-    va, y = v[idx], seed[idx]
-    lo, hi = np.zeros_like(y), np.full_like(y, math.inf)
-    for _ in range(120):
-        f = _slope_map_np(alpha, y) - va
-        lo = np.where(f < 0.0, np.maximum(lo, y), lo)
-        hi = np.where(f > 0.0, np.minimum(hi, y), hi)
-        y_new = y - f / _slope_map_deriv(alpha, y)
-        done = np.abs(y_new - y) <= 4e-16 * (1.0 + np.abs(y_new))
-        out[idx[done]] = y_new[done]
-        live = ~done
-        if not live.any():
-            return out
-        y_new = y_new[live]
-        lo, hi, y = lo[live], hi[live], y[live]
-        bracket = np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * np.maximum(y, 1.0))
-        y = np.where((lo < y_new) & (y_new < hi), y_new, bracket)
-        idx, va = idx[live], va[live]
-    out[idx] = y
-    return out
 
 
 def g_invert(v: float, params: ModelParams) -> float:

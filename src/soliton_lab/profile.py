@@ -1,4 +1,5 @@
-"""Profile construction: series launch at the axis, then ODE integration.
+"""Profile construction: series launch at the axis, explicit integration,
+then the far-field series.
 
 Two choices here carry all the accuracy downstream, so they are worth
 spelling out.
@@ -21,34 +22,30 @@ alpha)/2) (the constraint differentiated along the flow), so its stages
 need no inversion of g.  The step-size control looks at (r, z) alone, and
 at every grid node y is projected back onto the constraint by one
 warm-started inversion, y = g^{-1}((1 + z) t/(n - 1)); the stored slope
-is always that projection.  The implicit bridge integrates (r, z) only
-and recovers y by inversion inside its right-hand side.
+is always that projection.
 
-Solvers.  Near the axis the system is genuinely mild (linearization about
+Regimes.  Near the axis the system is genuinely mild (linearization about
 -n per unit log t) and an explicit embedded Runge-Kutta method (DOP853,
 stepped here on Python scalars with the standard error norm and step-size
 controller) is the cheapest accurate choice.  In the far field the
 relaxation rate toward the slow manifold grows like alpha (n - 1) y^2 per
 unit log t with y ~ t^(1/alpha), which is unbounded: around 1e4 already
 for n = 2, alpha = 1 at t = 200, and 1e9 for alpha = 1/2.  No explicit
-method can cross that at tolerable cost (stability caps the step), so
-once the measured relaxation rate exceeds a small budget per grid step
-the integration hands off, mid-trajectory, to an L-stable implicit
-Runge-Kutta method (scipy's Radau IIA) with an analytic Jacobian.  The
-implicit stretch is deliberately short: as soon as the defect is small
-enough, integrating it at all is a losing game against float rounding,
-and the tail switches to solving the slaved algebraic balance.  That
-balance pins each tail node from its own t alone, so the whole tail is
-one array Newton iteration over all of its nodes, and the radius is
-accumulated by a quintic Hermite quadrature that the endpoint
-derivative data makes exact through degree five.  For larger alpha the
-defect reaches the slave gate before the rate budget trips, and the
-implicit bridge is empty.
+method can cross that at tolerable cost, and nothing needs to: once the
+trajectory has relaxed, it is the slow manifold, which is a power series
+in x = ((n - 1)/t)^(2/alpha) with coefficients fixed order by order (the
+reduced system of a singularly perturbed problem, Hairer and Wanner,
+Solving ODEs II, VI.2-3).  The explicit stretch ends at the first node
+where the trajectory has relaxed (the rate exceeds a budget per grid
+step, or the defect is small) and the series' last term is negligible.
+Every later node is one evaluation of the series, and the radius there
+is accumulated by a quintic Hermite quadrature that the endpoint
+derivative data makes exact through degree five.
 
-Grid nodes are exact integrator step endpoints in either integrated
-regime: the solver is advanced node to node on a grid uniform in
-s = log t.  Dense-output interpolants carry enough wiggle to ruin
-finite-difference residual diagnostics downstream, step endpoints do not.
+Grid nodes are exact integrator step endpoints in the explicit stretch:
+the stepper is advanced node to node on a grid uniform in s = log t.
+Dense-output interpolants carry enough wiggle to ruin finite-difference
+residual diagnostics downstream, step endpoints do not.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import Radau
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .model import (
@@ -65,7 +62,6 @@ from .model import (
     g_eval,
     is_log_branch,
     _invert_slope,
-    _invert_slope_np,
     _slope_map_deriv,
 )
 from .series import OriginSeries, series_coefficients, series_eval
@@ -75,20 +71,24 @@ __all__ = ["RadialProfile", "SolverError", "solve_profile"]
 _TOL_MIN, _TOL_MAX = 1e-13, 1e-6
 
 # Relaxation rate (per unit log t) times grid spacing above which the
-# explicit method is abandoned.  DOP853's real-axis stability boundary
-# sits near 6; switching at 3 leaves it error-limited, never
-# stability-limited.  At the switch the defect satisfies |z| ~ 1/rate =
-# spacing/3, since the balance pins z(n + alpha(n-1)y^2) near -1.
+# trajectory counts as relaxed onto the slow manifold: any component off
+# it decays by e^-3 per grid step.  DOP853's real-axis stability boundary
+# sits near 6, so the explicit stretch is still error-limited there.
 _STIFFNESS_BUDGET = 3.0
 
-# Once |z| <= alpha * _SLAVE_COEF, integrating z at all is
-# counterproductive: the trajectory hugs the algebraic balance of the
-# equation, which the third-order slaved family reproduces to a relative
-# accuracy ((2/alpha) |z|)^4, while an integrated z carries a noise floor
-# that the enormous Jacobian turns into visible residual.  The tail is
-# solved from the balance at every node at once; the coefficient keeps
-# the crossover residual near 2e-10 for every alpha.
+# The other relaxation test, for cells whose rate grows slowly (large
+# alpha): |z| <= alpha * _SLAVE_COEF.  The defect is then small enough
+# that the trajectory follows the slow manifold to its integration
+# tolerance.  Either test, together with a converged far-field series,
+# ends the explicit stretch.
 _SLAVE_COEF = 1.6e-3
+
+# Order of the far-field series past the explicit stretch.  Its
+# coefficients grow factorially (see _far_series), so the order is fixed
+# and the handoff waits until the last term is negligible.  With 48 terms,
+# over n in 2..10 and alpha in 0.15..10 at t_max 200 and 2000, every cell
+# hands off at its first relaxed node except (10, 10), 17 nodes later.
+_FAR_ORDER = 48
 
 
 class SolverError(RuntimeError):
@@ -255,168 +255,55 @@ class _CarriedSlopeStepper:
         self.f = self._rhs(self.t, self.r, self.z, y)
 
 
-def _make_rhs(n: int, alpha: float):
-    """Right-hand side of the (r, z) system for the implicit bridge.
+def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
+    """Coefficients of the slow manifold as power series in x = ((n-1)/t)^(2/alpha).
 
-    The slope is recovered in every evaluation by a warm-started inversion
-    of g.  The returned closure is stateful only through the Newton seed
-    cache, which affects iteration counts, never converged values.
+    Written as y = (t/(n-1))^(1/alpha) U(x) and z = -(x/c) W(x) with
+    c = alpha (n - 1), the constraint and the z equation become
+
+        U (U^2 + x)^beta = 1 - x W/c,                   beta = (alpha-1)/2,
+        (2/(alpha c)) (x W + x^2 W') = n x W/c + W U^2 - 1,
+
+    so U(0) = W(0) = 1.  Matching powers of x is triangular: the constraint
+    at order k fixes u_k (it enters with weight alpha) from w_{k-1}, then
+    the z equation fixes w_k.  The power P = (U^2 + x)^beta is carried by
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).  In the
+    variables t^(1/alpha) sum u'_k eps^k, eps sum w'_k eps^k of eps =
+    t^(-2/alpha) the coefficients are u'_k = u_k (n-1)^((2k-1)/alpha) and
+    w'_k = -w_k (n-1)^((2k+2)/alpha)/c; the scaling keeps them in float
+    range for small alpha and large n.  They grow like k! (2/(alpha c))^k,
+    so the series is asymptotic, and a fixed order serves every cell once
+    the caller waits for its last term to be negligible.  Below alpha of
+    about 0.005 the last coefficients leave float range and become inf or
+    nan, and :func:`_far_series_converged` then never passes.
     """
-    m = float(n - 1)
-    an = alpha * m
-    identity = is_log_branch(alpha)
-    seed = [0.0]
-
-    def rhs(t, u):
-        z = u[1]
-        v = (1.0 + z) * t / m
-        if v < 0.0:
-            # Transient trial state from a rejected step; any finite slope
-            # keeps the error controller in charge.
-            v = 0.0
-        if identity:
-            y = v
-        else:
-            y = _invert_slope(alpha, v, seed[0])
-            seed[0] = y
-        return np.array([y, -(1.0 + n * z + an * z * y * y) / t])
-
-    return rhs
+    c = alpha * (n - 1.0)
+    beta = (alpha - 1.0) / 2.0
+    u, w, s, q, p = (np.zeros(order + 1) for _ in range(5))  # s = U^2, q = U^2 + x
+    u[0] = w[0] = s[0] = q[0] = p[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, order + 1):
+            # Everything at order k with u_k = 0, then u_k from the constraint.
+            s[k] = u[1:k] @ u[k - 1:0:-1]
+            q[k] = s[k] + (k == 1)
+            p[k] = ((beta + 1.0) * np.arange(1, k + 1) - k) @ (q[1:k + 1] * p[k - 1::-1]) / k
+            u[k] = (-w[k - 1] / c - u[1:k] @ p[k - 1:0:-1] - p[k]) / alpha
+            s[k] += 2.0 * u[k]
+            q[k] += 2.0 * u[k]
+            p[k] += 2.0 * beta * u[k]
+            w[k] = (2.0 * k / alpha - n) * w[k - 1] / c - w[:k] @ s[k:0:-1]
+    return u, w
 
 
-def _make_jac(n: int, alpha: float):
-    """Analytic Jacobian of the (r, z) system for the implicit method.
-
-    With y = g^{-1}((1 + z) t/(n - 1)) one has dy/dz = t/((n-1) g'(y)),
-    and the z row follows by the product rule.  The r column is zero.
-    """
-    m = float(n - 1)
-    an = alpha * m
-    identity = is_log_branch(alpha)
-
-    def jac(t, u):
-        z = u[1]
-        v = (1.0 + z) * t / m
-        if v < 0.0:
-            v = 0.0
-        if identity:
-            y = v
-            dydz = t / m
-        else:
-            y = _invert_slope(alpha, v)
-            dydz = t / (m * _slope_map_deriv(alpha, y))
-        dfz = -(n + an * (y * y + 2.0 * z * y * dydz)) / t
-        return np.array([[0.0, dydz], [0.0, dfz]])
-
-    return jac
-
-
-def _balance_state(n: int, alpha: float, t, z, y_seed):
-    """Balance pieces F, F_z, F_s and the estimate D2 at points (z, t).
-
-    F = 1 + n z + alpha (n-1) z y^2 with y = y(z, s) defined through
-    (n-1) g(y) = (1 + z) e^s.  D1 = -F_s/F_z is the derivative the balance
-    family would have if F vanished on it exactly; D2 folds D1's own
-    partials back in.  All y partials go through pp = g''/g'.  Element-wise
-    over float64 arrays t, z and y_seed (the inversion's starting points).
-    """
-    m = float(n - 1)
-    an = alpha * m
-    v = (1.0 + z) * t / m
-    if is_log_branch(alpha):
-        y = v
-        gp = 1.0
-        pp = 0.0
-    else:
-        y = _invert_slope_np(alpha, v, y_seed)
-        gp = _slope_map_deriv(alpha, y)
-        w = 1.0 + y * y
-        q = 1.0 + alpha * y * y
-        pp = y * (alpha - 1.0) * (3.0 + alpha * y * y) / (w * q)
-    y_z = v / ((1.0 + z) * gp)
-    y_s = v / gp
-    y_zz = -pp * y_z * y_z
-    y_zs = y_z * (1.0 - pp * y_s)
-    y_ss = y_s * (1.0 - pp * y_s)
-    big_f = 1.0 + n * z + an * z * y * y
-    f_z = n + an * (y * y + 2.0 * z * y * y_z)
-    f_s = 2.0 * an * z * y * y_s
-    f_zz = 2.0 * an * (2.0 * y * y_z + z * y_z * y_z + z * y * y_zz)
-    f_zs = 2.0 * an * (y * y_s + z * (y_s * y_z + y * y_zs))
-    f_ss = 2.0 * an * z * (y_s * y_s + y * y_ss)
-    d1_z = -(f_zs * f_z - f_s * f_zz) / (f_z * f_z)
-    d1_s = -(f_ss * f_z - f_s * f_zs) / (f_z * f_z)
-    d2 = -(f_s + d1_s) / (f_z + d1_z)
-    return y, big_f, f_z, f_s, d2
-
-
-def _slaved_tail(n: int, alpha: float, t: np.ndarray):
-    """Defect z and slope y at the tail nodes t from the slaved balance.
-
-    Deep in the tail the trajectory satisfies dz/ds = -F(z, s), and dz/ds
-    is itself slaved to the balance.  Iterating the implicit function
-    theorem on the family gives successively better derivative estimates,
-    D1 = -F_s/F_z, then D2 (analytic, in _balance_state), then
-    D3 = -(F_s + dD2/ds)/(F_z + dD2/dz) with D2's partials taken by
-    centered differences (the family is glassy smooth, so the cheap
-    stencil loses nothing).  Solving F(z, s) + D3(z, s) = 0 reproduces
-    the trajectory to a relative accuracy of about 2 ((2/alpha) |z|)^4,
-    which is what caps the entry threshold.
-
-    The nodes are independent problems, so one Newton iteration runs on
-    all of them at once and a mask freezes each node once it has
-    converged.  Each node is seeded from its own t, by the slope on z = 0
-    and the defect that zeroes F there, so its result does not depend on
-    which other nodes share the array.
-    """
-    m = float(n - 1)
-    y = _invert_slope_np(alpha, t / m)
-    z = -1.0 / (n + alpha * m * y * y)
-    ds = 1e-4
-    t_up = t * math.exp(ds)
-    t_down = t * math.exp(-ds)
-    prev = np.full_like(t, math.inf)
-    live = np.arange(t.size)
-    for _ in range(80):
-        tl, zl = t[live], z[live]
-        yl, big_f, f_z, f_s, _ = _balance_state(n, alpha, tl, zl, y[live])
-        dz = 1e-4 * np.abs(zl) + 1e-300
-        d2_z = (
-            _balance_state(n, alpha, tl, zl + dz, yl)[4]
-            - _balance_state(n, alpha, tl, zl - dz, yl)[4]
-        ) / (2.0 * dz)
-        d2_s = (
-            _balance_state(n, alpha, t_up[live], zl, yl)[4]
-            - _balance_state(n, alpha, t_down[live], zl, yl)[4]
-        ) / (2.0 * ds)
-        d3 = -(f_s + d2_s) / (f_z + d2_z)
-        step = -(big_f + d3) / f_z
-        zl = zl + step
-        z[live] = zl
-        y[live] = yl
-        a = np.abs(step)
-        # Converged, or contraction stalled at the rounding floor of the
-        # map (re-inverting y makes F jitter by a few ulp).
-        done = (a <= 1e-14 * np.abs(zl)) | ((a >= 0.5 * prev[live]) & (a <= 1e-9 * np.abs(zl)))
-        prev[live] = a
-        live = live[~done]
-        if live.size == 0:
-            break
-    else:
-        raise SolverError(f"slaved balance did not converge at t = {t[live[0]]:.6g}")
-    return z, _invert_slope_np(alpha, (1.0 + z) * t / m, y)
-
-
-def _advance_to(solver, t_target: float) -> None:
-    """Drive a scipy solver so that t_target is an exact step endpoint."""
-    solver.t_bound = t_target
-    solver.status = "running"
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise SolverError(
-                f"integration failed near t = {solver.t:.6g}: {message}"
-            )
+def _far_series_converged(u, w, x: float) -> bool:
+    """True when the last term of U(x) and of W(x) is below 1e-16 of the sum."""
+    if not (math.isfinite(u[-1]) and math.isfinite(w[-1])):
+        return False
+    last = x ** (len(u) - 1)
+    return bool(
+        abs(u[-1]) * last <= 1e-16 * abs(polyval(x, u))
+        and abs(w[-1]) * last <= 1e-16 * abs(polyval(x, w))
+    )
 
 
 def _second_and_third(n: int, alpha: float, t, y, z):
@@ -575,13 +462,13 @@ def solve_profile(
     spacing ``grid_spacing``.  An explicit embedded Runge-Kutta method
     (DOP853, stepped in this module) covers the mild region near the
     axis; it carries the slope y as a third state and projects it back
-    onto (n - 1) g(y) = (1 + z) t at every node.  Once the far-field
-    relaxation rate exceeds the explicit stability budget per grid step,
-    integration hands off to an L-stable implicit method; once the defect
-    passes the slave gate (|z| below 0.0016 alpha) the remaining nodes are
-    not integrated at all: one array Newton iteration solves the slaved
-    algebraic balance at all of them together, each node seeded from its
-    own t, and the radius is summed over them by Hermite quadrature.
+    onto (n - 1) g(y) = (1 + z) t at every node.  At the first node where
+    the trajectory has relaxed onto the slow manifold (the relaxation rate
+    exceeds the explicit stability budget per grid step, or |z| is below
+    0.0016 alpha) and the far-field series in ((n - 1)/t)^(2/alpha) has
+    converged to float precision, the integration stops: every remaining
+    node is evaluated from the series, and the radius is summed over them
+    by Hermite quadrature.
 
     ``grid_spacing`` defaults to 0.01 for alpha >= 1 and 0.00325 below:
     the transition region steepens like 2/alpha in log t, and the default
@@ -656,28 +543,23 @@ def solve_profile(
     stepper = _CarriedSlopeStepper(
         n, alpha, t0, r0, z0, dr0, t_nodes[-1], rtol=rtol, atol=atol
     )
-    solver = None
 
     m = float(n - 1)
+    c = alpha * m
     log_branch = is_log_branch(alpha)
     rate_cap = _STIFFNESS_BUDGET / grid_spacing
+    slave_gate = alpha * _SLAVE_COEF
+    u_far, w_far = _far_series(n, alpha)
     r_nodes = np.empty(n_seg + 1)
     z_nodes = np.empty(n_seg + 1)
     y_nodes = np.empty(n_seg + 1)
     r_nodes[0], z_nodes[0], y_nodes[0] = r0, z0, dr0
-    slave_gate = alpha * _SLAVE_COEF
-    explicit = True
-    seed = dr0
-    tail = n_seg + 1  # first slaved node; past the end until the gate trips
+    tail = n_seg + 1  # first series node; past the end until the handoff
     for k in range(1, n_seg + 1):
         tk = float(t_nodes[k])
-        if explicit:
-            stepper.advance_to(tk)
-            rk, zk, seed = stepper.r, stepper.z, stepper.y
-        else:
-            _advance_to(solver, tk)
-            rk, zk = (float(u) for u in solver.y)
-        if not (math.isfinite(rk) and math.isfinite(zk) and math.isfinite(seed)):
+        stepper.advance_to(tk)
+        rk, zk = stepper.r, stepper.z
+        if not (math.isfinite(rk) and math.isfinite(zk) and math.isfinite(stepper.y)):
             raise SolverError(f"non-finite state at t = {tk:.6g}")
         r_nodes[k] = rk
         z_nodes[k] = zk
@@ -686,34 +568,28 @@ def solve_profile(
             yk = v
             dydz = tk / m
         else:
-            yk = _invert_slope(alpha, v, seed)
+            yk = _invert_slope(alpha, v, stepper.y)
             dydz = tk / (m * _slope_map_deriv(alpha, yk))
-        seed = yk
         y_nodes[k] = yk
         if k == n_seg:
             break
-        if abs(zk) <= slave_gate:
+        relaxed = abs(zk) <= slave_gate or n + c * (yk * yk + 2.0 * zk * yk * dydz) > rate_cap
+        if relaxed and _far_series_converged(u_far, w_far, (m / tk) ** (2.0 / alpha)):
             tail = k + 1
-            z_nodes[tail:], y_nodes[tail:] = _slaved_tail(n, alpha, t_nodes[tail:])
+            t_far = t_nodes[tail:]
+            x = (m / t_far) ** (2.0 / alpha)
+            y_nodes[tail:] = (t_far / m) ** (1.0 / alpha) * polyval(x, u_far)
+            z_nodes[tail:] = -x * polyval(x, w_far) / c
             break
-        if explicit:
-            rate = n + alpha * m * (yk * yk + 2.0 * zk * yk * dydz)
-            if rate > rate_cap:
-                solver = Radau(
-                    _make_rhs(n, alpha), tk, np.array([rk, zk]), t_nodes[-1],
-                    rtol=rtol, atol=atol, jac=_make_jac(n, alpha),
-                )
-                explicit = False
-            else:
-                stepper.project(yk)
+        stepper.project(yk)
 
     ddr_nodes, dddr_nodes = _second_and_third(n, alpha, t_nodes, y_nodes, z_nodes)
 
     if tail <= n_seg:
-        # Integral over each tail step of the quintic Hermite matching
+        # Integral over each series step of the quintic Hermite matching
         # (y, r'', r''') at both ends; exact through degree five, and the
-        # tail slope is a power of t plus corrections orders below
-        # anything kept.  Summed from the gate node outward.
+        # slope there is a power of t plus corrections orders below
+        # anything kept.  Summed from the handoff node outward.
         ends = slice(tail - 1, None)
         ht = np.diff(t_nodes[ends])
         y, f2, f3 = y_nodes[ends], ddr_nodes[ends], dddr_nodes[ends]

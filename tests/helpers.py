@@ -92,3 +92,58 @@ def mp_series_residual_slope(n, alpha, order, t_lo=1e-3, t_hi=1e-2, points=9, dp
         num = sum((a - mt) * (b - mr) for a, b in zip(logs_t, logs_r))
         den = sum((a - mt) ** 2 for a in logs_t)
         return float(num / den)
+
+
+def mp_far_series_coeffs(n, alpha, order, dps=50):
+    """Far-field coefficients (u_k, w_k), k = 0..order, at high precision.
+
+    The slow manifold y = t^(1/alpha) sum u_k eps^k, z = eps sum w_k eps^k
+    in eps = t^(-2/alpha) satisfies the constraint
+    (n-1) U (U^2 + eps)^((alpha-1)/2) = 1 + eps W and the z equation
+    (2/alpha) (eps W + eps^2 W') = 1 + n eps W + alpha (n-1) W U^2.  Each
+    order cancels the residual of the shorter truncation: u_k zeroes the
+    constraint at eps^k (a secant through two trial values, the residual
+    being linear in u_k), then w_k the z equation at eps^k.  The power is
+    exp(beta log(1 + q)), each factor by its own series recurrence.
+    """
+    with mp.workdps(dps):
+        alpha = mp.mpf(alpha)
+        m = mp.mpf(n - 1)
+        beta = (alpha - 1) / 2
+        u = [m ** (-1 / alpha)]
+        w = [-1 / (alpha * m * u[0] ** 2)]
+        scale = u[0] ** (2 * beta)
+
+        def constraint(k):
+            sq = _mul(u, u, k)
+            q = [(sq[i] + (1 if i == 1 else 0)) / u[0] ** 2 for i in range(k + 1)]
+            q[0] = mp.mpf(0)
+            power = _exp_series([beta * c for c in _log1p_series(q, k)], k)
+            return m * scale * _mul(u, power, k)[k] - w[k - 1]
+
+        for k in range(1, order + 1):
+            u.append(mp.mpf(0))
+            f0 = constraint(k)
+            u[k] = 1 + abs(f0)
+            f1 = constraint(k)
+            u[k] = -f0 * u[k] / (f1 - f0)
+            sq = _mul(u, u, k)
+            rest = sum(w[i] * sq[k - i] for i in range(k))
+            w.append(((2 * k / alpha - n) * w[k - 1] - alpha * m * rest) / (alpha * m * sq[0]))
+        return u, w
+
+
+def _log1p_series(q, m):
+    """log(1 + q) to degree m, q with zero constant term: (1 + q) L' = q'."""
+    out = [mp.mpf(0)] * (m + 1)
+    for k in range(1, m + 1):
+        out[k] = q[k] - sum(j * out[j] * q[k - j] for j in range(1, k)) / k
+    return out
+
+
+def _exp_series(a, m):
+    """exp(a) to degree m, a with zero constant term: E' = a' E."""
+    out = [mp.mpf(1)] + [mp.mpf(0)] * m
+    for k in range(1, m + 1):
+        out[k] = sum(j * a[j] * out[k - j] for j in range(1, k + 1)) / k
+    return out

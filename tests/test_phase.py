@@ -28,6 +28,18 @@ def test_z_monotone_and_limits(n, alpha, profile_of):
     assert -1e-2 < traj.z[-1] < 0.0
 
 
+@pytest.mark.parametrize("n, alpha, tol", [(10, 10.0, 1e-10), (3, 2.0, 1e-12), (4, 0.5, 1e-12)])
+def test_z_residual_contract_far_cells(n, alpha, tol, profile_of):
+    """Cells where an integrated far field missed the contract.
+
+    At (10, 10) the defect decays like t^(-1/5), so the handoff sits at
+    x = ((n-1)/t)^(2/alpha) near 0.67; at tol 1e-12 the far field must
+    hold z to about 1e-12 relative.  phase_trajectory raises on a miss.
+    """
+    traj = phase_trajectory(profile_of(n, alpha, tol=tol))
+    assert float(np.abs(z_ode_residual(traj)).max()) <= 100.0 * tol
+
+
 def test_trajectory_fields(profile_of):
     prof = profile_of(2, 1.0)
     traj = phase_trajectory(prof)

@@ -1,12 +1,22 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from helpers import mp_far_series_coeffs
 from soliton_lab import profile as profile_module
-from soliton_lab.model import ModelParams, g_eval, g_invert
-from soliton_lab.profile import RadialProfile, SolverError, solve_profile
+from soliton_lab.asymptotics import asymptotic_z
+from soliton_lab.model import ModelParams, coeff_B, g_eval, g_invert
+from soliton_lab.profile import (
+    RadialProfile,
+    SolverError,
+    _far_series,
+    _far_series_converged,
+    solve_profile,
+)
 
 
 def test_deterministic(profile_of):
@@ -83,26 +93,104 @@ def test_explicit_stretch_inverts_once_per_node(monkeypatch):
     assert len(calls) == len(prof.phase_z) - 1
 
 
-@pytest.mark.parametrize("n, alpha", [(2, 0.5), (3, 2.0), (5, 3.0), (4, 0.75)])
-def test_tail_node_independent_of_batch(monkeypatch, n, alpha):
-    """A slaved node solved alone equals the same node in the full batch."""
-    tails = []
-    slaved_tail = profile_module._slaved_tail
+def _solve_recording_handoff(monkeypatch, params, t_max=200.0):
+    """Solve and return the profile and x at its handoff node."""
+    handoffs = []
+    converged = profile_module._far_series_converged
 
-    def recording(n, alpha, t):
-        tails.append(t.copy())
-        return slaved_tail(n, alpha, t)
+    def recording(u, w, x):
+        ok = converged(u, w, x)
+        if ok:
+            handoffs.append(x)
+        return ok
 
-    monkeypatch.setattr(profile_module, "_slaved_tail", recording)
-    prof = solve_profile(ModelParams(n, alpha), 2000.0, 1e-10)
-    (t,) = tails
-    first = len(prof.phase_z) - len(t)
-    z_all, y_all = prof.phase_z[first:], prof.dr[first + 1:]
-    for j in np.linspace(0, len(t) - 1, 7).astype(int):
-        z, y = slaved_tail(n, alpha, t[j:j + 1])
-        assert z[0] == z_all[j] and y[0] == y_all[j], j
-    z, y = slaved_tail(n, alpha, t[3:40])
-    assert np.array_equal(z, z_all[3:40]) and np.array_equal(y, y_all[3:40])
+    monkeypatch.setattr(profile_module, "_far_series_converged", recording)
+    prof = solve_profile(params, t_max, 1e-10)
+    (x,) = handoffs
+    return prof, x
+
+
+@pytest.mark.parametrize("n, alpha", [(2, 1.0), (2, 2.0), (5, 2.0)])
+def test_series_stretch_matches_radau(monkeypatch, n, alpha):
+    """Past the handoff the far-field series is the integrated trajectory.
+
+    From the last explicit node, scipy's Radau integrates (r, z) at tight
+    tolerance with the slope recovered by inversion, and the series nodes
+    must carry the same defect z and radius r.
+    """
+    params = ModelParams(n, alpha)
+    prof, x = _solve_recording_handoff(monkeypatch, params)
+    m = n - 1.0
+    t = prof.grid[1:]
+    k = int(np.argmin(np.abs(t - m * x ** (-alpha / 2.0))))
+    assert k < len(t) - 10
+
+    def rhs(t, u):
+        y = g_invert((1.0 + u[1]) * t / m, params)
+        return [y, -(1.0 + n * u[1] + alpha * m * u[1] * y * y) / t]
+
+    ref = solve_ivp(
+        rhs, (t[k], t[-1]), [prof.r[k + 1], prof.phase_z[k]], method="Radau",
+        t_eval=t[k + 1:], rtol=1e-13, atol=1e-20,
+    )
+    assert ref.success
+    np.testing.assert_allclose(prof.phase_z[k + 1:], ref.y[1], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(prof.r[k + 2:], ref.y[0], rtol=1e-12, atol=0.0)
+
+
+def _far_oracle_scaled(n, alpha, order):
+    """The oracle's (u_k, w_k) in the variables of ``_far_series``."""
+    u, w = mp_far_series_coeffs(n, alpha, order)
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+        m = mp.mpf(n - 1)
+        u = [u[k] * m ** (-(2 * k - 1) / a) for k in range(order + 1)]
+        w = [-w[k] * a * m * m ** (-(2 * k + 2) / a) for k in range(order + 1)]
+    return u, w
+
+
+@pytest.mark.parametrize(
+    "n, alpha, order",
+    [(10, 10.0, 48), (3, 2.0, 48), (2, 0.5, 24), (4, 1.0, 24), (5, 3.0, 24), (2, 0.15, 24)],
+)
+def test_far_series_matches_high_precision(monkeypatch, n, alpha, order):
+    """Float64 far-field coefficients against a 50-digit recomputation.
+
+    Every coefficient agrees to 1e-12 relative unless its error stays below
+    1e-17 of the sum (whose first term is 1) at every x where the solver
+    uses the series, which is at most x_use, the x of the handoff node.
+    That exception covers (3, 2): the z equation's factor 2k/alpha - n
+    vanishes at k = 3, so from k = 34 on the coefficients are what
+    cancellation leaves of a geometric sequence and keep no relative
+    digits in float64; their errors at the handoff are below 1e-94.
+    """
+    u, w = _far_series(n, alpha, order)
+    _, x_use = _solve_recording_handoff(monkeypatch, ModelParams(n, alpha), 2000.0)
+    for ours, exact in zip((u, w), _far_oracle_scaled(n, alpha, order)):
+        for k, (a, b) in enumerate(zip(ours, exact)):
+            err = abs(float(a - b))
+            assert err <= 1e-12 * abs(float(b)) or err * x_use ** k <= 1e-17, (k, a, b)
+
+
+@pytest.mark.parametrize("n, alpha", [(2, 0.5), (3, 1.0), (4, 2.0), (6, 3.0), (10, 10.0)])
+def test_far_series_leading_coefficients(n, alpha):
+    """u_1 = -B and w_0 the leading coefficient of ``asymptotic_z``."""
+    params = ModelParams(n, alpha)
+    u, w = _far_series(n, alpha)
+    m = n - 1.0
+    assert u[1] * m ** (1.0 / alpha) == pytest.approx(-coeff_B(params), rel=1e-14)
+    w0 = -w[0] * m ** (2.0 / alpha) / (alpha * m)
+    s = 20.0  # asymptotic_z keeps a second term on the alpha = 1 branch
+    leading = asymptotic_z(params, s) * math.exp(2.0 * s / alpha)
+    assert w0 == pytest.approx(leading, rel=1e-14)
+
+
+def test_far_series_out_of_float_range_is_never_used():
+    """For tiny alpha the coefficients overflow quietly and never pass."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, w = _far_series(2, 0.001)
+        assert not _far_series_converged(u, w, 1e-12)
 
 
 def test_origin_row(profile_of):
