@@ -86,8 +86,9 @@ _SLAVE_COEF = 1.6e-3
 # Order of the far-field series past the explicit stretch.  Its
 # coefficients grow factorially (see _far_series), so the order is fixed
 # and the handoff waits until the last term is negligible.  With 48 terms,
-# over n in 2..10 and alpha in 0.15..10 at t_max 200 and 2000, every cell
-# hands off at its first relaxed node except (10, 10), 17 nodes later.
+# on a sweep of n in {2, 3, 5, 7, 10} and alpha from 0.15 to 10 at t_max
+# 200 and 2000, every cell hands off at its first relaxed node except
+# (10, 10), 17 nodes later.
 _FAR_ORDER = 48
 
 
