@@ -1,8 +1,9 @@
 """Rotationally symmetric translating solitons of power mean curvature flow.
 
-Profiles are built by a series launch at the axis, explicit integration
-in phase variables, and a far-field power series once the trajectory has
-relaxed onto its slow manifold; the package evaluates and fits the
+Profiles are built in three regimes: the origin power series out to the
+radius where it is exact in float64, explicit DOP853 integration in phase
+variables, and a far-field power series once the trajectory has relaxed
+onto its slow manifold.  The package evaluates and fits the
 far-field expansions and verifies every computable structural property
 (slope bounds, phase monotonicity, PDE residual, convexity, blow-down,
 growth, interior gradient bound, refinement agreement).

@@ -1,5 +1,5 @@
-"""Profile construction: series launch at the axis, explicit integration,
-then the far-field series.
+"""Profile construction in three regimes: the origin series, explicit
+integration, then the far-field series.
 
 Two choices here carry all the accuracy downstream, so they are worth
 spelling out.
@@ -24,26 +24,32 @@ at every grid node y is projected back onto the constraint by one
 warm-started inversion, y = g^{-1}((1 + z) t/(n - 1)); the stored slope
 is always that projection.
 
-Regimes.  Near the axis the system is genuinely mild (linearization about
--n per unit log t) and an explicit embedded Runge-Kutta method (DOP853,
-stepped here on Python scalars with the standard error norm and step-size
-controller) is the cheapest accurate choice.  In the far field the
-relaxation rate toward the slow manifold grows like alpha (n - 1) y^2 per
-unit log t with y ~ t^(1/alpha), which is unbounded: around 1e4 already
-for n = 2, alpha = 1 at t = 200, and 1e9 for alpha = 1/2.  No explicit
+Regimes.  The profile is analytic at the axis, and its even Taylor
+series (:mod:`soliton_lab.series`) converges out to |t| of about n, where
+r'^2 = -1.  Every node up to a radius t_s is one evaluation of that
+series, where t_s is the last node at which its last term is negligible;
+on the n 2..6 x alpha {0.5, 1, 2, 3} grid t_s lies between 1 and 4.
+Beyond it the system is still mild (linearization about -n per unit log
+t) and an explicit embedded Runge-Kutta method (DOP853, stepped here on
+Python scalars with the standard error norm and step-size controller) is
+the cheapest accurate choice.  In the far field the relaxation rate
+toward the slow manifold grows like alpha (n - 1) y^2 per unit log t with
+y ~ t^(1/alpha), which is unbounded: around 1e4 already for n = 2,
+alpha = 1 at t = 200, and 1e9 for alpha = 1/2.  No explicit
 method can cross that at tolerable cost, and nothing needs to: once the
 trajectory has relaxed, it is the slow manifold, which is a power series
 in x = ((n - 1)/t)^(2/alpha) with coefficients fixed order by order (the
 reduced system of a singularly perturbed problem, Hairer and Wanner,
 Solving ODEs II, VI.2-3).  The explicit stretch ends at the first node
 where the trajectory has relaxed (the rate exceeds a budget per grid
-step, or the defect is small) and the series' last term is negligible.
-Every later node is one evaluation of the series, and the radius there
-is accumulated by a quintic Hermite quadrature that the endpoint
-derivative data makes exact through degree five.
+step, or the defect is small) and the far-field series' last term is
+negligible.  Every later node is one evaluation of that series, and the
+radius there is accumulated by a quintic Hermite quadrature that the
+endpoint derivative data makes exact through degree five.
 
 Grid nodes are exact integrator step endpoints in the explicit stretch:
-the stepper is advanced node to node on a grid uniform in s = log t.
+the stepper is advanced node to node on a grid uniform in s = log t,
+from the last origin-series node.
 Dense-output interpolants carry enough wiggle to ruin finite-difference
 residual diagnostics downstream, step endpoints do not.
 """
@@ -55,7 +61,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .model import (
     ModelParams,
@@ -98,16 +103,55 @@ class SolverError(RuntimeError):
 
 # DOP853 tableau (Hairer, Norsett and Wanner, Solving ODEs I, II.10) as
 # Python floats: the stepper below works on three scalars, where array
-# arithmetic costs more than it saves.  Zero entries are dropped.
-_STAGES = _dop853.N_STAGES
-_C = _dop853.C[:_STAGES].tolist()
-_A = [
-    [(j, a) for j, a in enumerate(_dop853.A[s, :s].tolist()) if a != 0.0]
-    for s in range(_STAGES)
+# arithmetic costs more than it saves.  Zero entries of A and B are
+# dropped.  The values are scipy's (scipy.integrate._ivp.
+# dop853_coefficients), written out so that the package does not import
+# scipy; a test checks them bit for bit.
+_STAGES = 12
+_C = [
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
 ]
-_B = [(j, b) for j, b in enumerate(_dop853.B.tolist()) if b != 0.0]
-_E3 = _dop853.E3.tolist()
-_E5 = _dop853.E5.tolist()
+_A = [
+    [],
+    [(0, 0.05260015195876773)],
+    [(0, 0.0197250569845379), (1, 0.0591751709536137)],
+    [(0, 0.02958758547680685), (2, 0.08876275643042054)],
+    [(0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)],
+    [(0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)],
+    [(0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+     (5, -0.017578125)],
+    [(0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+     (5, -0.015319437748624402), (6, 0.008273789163814023)],
+    [(0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)],
+    [(0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)],
+    [(0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)],
+    [(0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)],
+]
+_B = [
+    (0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+    (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+    (10, 0.20136540080403034), (11, 0.04471061572777259),
+]
+# Error estimators over the 12 stages and the rhs at the new point.
+_E3 = [
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0,
+]
+_E5 = [
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0,
+]
 # Step-size controller: error estimator order 7, so the error scales like
 # h^8; safety factor and growth bounds as in the reference code.
 _EXPONENT = -1.0 / 8.0
@@ -296,15 +340,21 @@ def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
     return u, w
 
 
+def _last_term_negligible(c, x):
+    """Where the last term of the power series c at x is below 1e-16 of its sum.
+
+    Element-wise in x.  False everywhere when the last coefficient is not
+    finite, so a series whose coefficients left float range is never used.
+    """
+    if not math.isfinite(c[-1]):
+        return np.zeros(np.shape(x), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(c[-1]) * x ** (len(c) - 1) <= 1e-16 * np.abs(polyval(x, c))
+
+
 def _far_series_converged(u, w, x: float) -> bool:
     """True when the last term of U(x) and of W(x) is below 1e-16 of the sum."""
-    if not (math.isfinite(u[-1]) and math.isfinite(w[-1])):
-        return False
-    last = x ** (len(u) - 1)
-    return bool(
-        abs(u[-1]) * last <= 1e-16 * abs(polyval(x, u))
-        and abs(w[-1]) * last <= 1e-16 * abs(polyval(x, w))
-    )
+    return bool(_last_term_negligible(u, x) and _last_term_negligible(w, x))
 
 
 def _second_and_third(n: int, alpha: float, t, y, z):
@@ -453,23 +503,25 @@ def solve_profile(
     *,
     switch_radius: float = 1e-2,
     grid_spacing: float | None = None,
-    series_order: int = 8,
     t_cap: float = 1e4,
 ) -> RadialProfile:
     """Construct the radial profile on [0, t_max].
 
-    Launches from the origin series at ``switch_radius`` and integrates
-    the (r, z) system, landing exactly on a grid uniform in log t with
-    spacing ``grid_spacing``.  An explicit embedded Runge-Kutta method
-    (DOP853, stepped in this module) covers the mild region near the
-    axis; it carries the slope y as a third state and projects it back
-    onto (n - 1) g(y) = (1 + z) t at every node.  At the first node where
-    the trajectory has relaxed onto the slow manifold (the relaxation rate
-    exceeds the explicit stability budget per grid step, or |z| is below
-    0.0016 alpha) and the far-field series in ((n - 1)/t)^(2/alpha) has
-    converged to float precision, the integration stops: every remaining
-    node is evaluated from the series, and the radius is summed over them
-    by Hermite quadrature.
+    Nodes form a grid uniform in log t with spacing ``grid_spacing``,
+    from ``switch_radius`` to ``t_max``, and each node is filled by one of
+    three regimes in turn.  The origin series (of fixed degree, see
+    :func:`~soliton_lab.series.series_coefficients`) fills every node up
+    to the first one where its last term exceeds 1e-16 of the sum, for r
+    or r'.  From the last such node an explicit embedded Runge-Kutta
+    method (DOP853, stepped in this module) integrates the (r, z) system,
+    landing exactly on every node; it carries the slope y as a third state
+    and projects it back onto (n - 1) g(y) = (1 + z) t at every node.  At
+    the first node where the trajectory has relaxed onto the slow manifold
+    (the relaxation rate exceeds the explicit stability budget per grid
+    step, or |z| is below 0.0016 alpha) and the far-field series in
+    ((n - 1)/t)^(2/alpha) has converged to float precision, the
+    integration stops: every remaining node is evaluated from the series,
+    and the radius is summed over them by Hermite quadrature.
 
     ``grid_spacing`` defaults to 0.01 for alpha >= 1 and 0.00325 below:
     the transition region steepens like 2/alpha in log t, and the default
@@ -485,7 +537,7 @@ def solve_profile(
         Accuracy target in [1e-13, 1e-6]; the internal relative tolerance
         is set two orders tighter (floored near machine precision), with
         a fixed absolute floor on the defect channel.
-    switch_radius, grid_spacing, series_order, t_cap
+    switch_radius, grid_spacing, t_cap
         Launch and discretization knobs; the defaults satisfy every
         documented accuracy contract.
 
@@ -525,25 +577,42 @@ def solve_profile(
             f"for alpha = {alpha:g}; lower t_max"
         )
 
-    series = series_coefficients(params, series_order)
+    series = series_coefficients(params)
     t0 = float(switch_radius)
-    r0, dr0, _ = series_eval(series, t0)
-    z0 = (n - 1.0) * g_eval(dr0, params) / t0 - 1.0
-
     n_seg = max(int(math.ceil((math.log(t_max) - math.log(t0)) / grid_spacing)), 32)
     s_nodes = np.linspace(math.log(t0), math.log(t_max), n_seg + 1)
     t_nodes = np.exp(s_nodes)
     t_nodes[0] = t0
     t_nodes[-1] = t_max
 
+    # The origin series fills every node it resolves to float precision,
+    # up to the first node where the last term of r or of r' exceeds 1e-16
+    # of the sum.  Both are a power of t times a series in u = t^2, with
+    # coefficients a_j and j a_j.  The stepper launches from the last node
+    # the series fills, node 0 at the least.
+    a = np.array(series.coeffs)
+    u = t_nodes * t_nodes
+    resolved = _last_term_negligible(a, u) & _last_term_negligible(
+        a * np.arange(2.0, 2.0 * len(a) + 1.0, 2.0), u
+    )
+    launch = max(int(np.argmin(np.append(resolved, False))) - 1, 0)
+    r_nodes = np.empty(n_seg + 1)
+    z_nodes = np.empty(n_seg + 1)
+    y_nodes = np.empty(n_seg + 1)
+    near = slice(0, launch + 1)
+    r_nodes[near], y_nodes[near], _ = series_eval(series, t_nodes[near])
+    z_nodes[near] = (n - 1.0) * g_eval(y_nodes[near], params) / t_nodes[near] - 1.0
+
     rtol = max(tol * 1e-2, 3e-14)
     # Absolute floor for the defect channel z.  Downstream consumers need
     # z to about 1e-12 at worst; demanding 1e-16 absolute instead leaves
     # the explicit method error-strangled far below its stability limit.
     atol = 1e-13
-    stepper = _CarriedSlopeStepper(
-        n, alpha, t0, r0, z0, dr0, t_nodes[-1], rtol=rtol, atol=atol
-    )
+    if launch < n_seg:
+        stepper = _CarriedSlopeStepper(
+            n, alpha, float(t_nodes[launch]), float(r_nodes[launch]),
+            float(z_nodes[launch]), float(y_nodes[launch]), t_max, rtol=rtol, atol=atol,
+        )
 
     m = float(n - 1)
     c = alpha * m
@@ -551,12 +620,8 @@ def solve_profile(
     rate_cap = _STIFFNESS_BUDGET / grid_spacing
     slave_gate = alpha * _SLAVE_COEF
     u_far, w_far = _far_series(n, alpha)
-    r_nodes = np.empty(n_seg + 1)
-    z_nodes = np.empty(n_seg + 1)
-    y_nodes = np.empty(n_seg + 1)
-    r_nodes[0], z_nodes[0], y_nodes[0] = r0, z0, dr0
-    tail = n_seg + 1  # first series node; past the end until the handoff
-    for k in range(1, n_seg + 1):
+    tail = n_seg + 1  # first far-series node; past the end until the handoff
+    for k in range(launch + 1, n_seg + 1):
         tk = float(t_nodes[k])
         stepper.advance_to(tk)
         rk, zk = stepper.r, stepper.z

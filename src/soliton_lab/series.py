@@ -1,15 +1,25 @@
 """Near-origin power series of the radial profile.
 
 The profile equation forces r(0) = r'(0) = 0 and r''(0) = 1/n, and all odd
-Taylor coefficients vanish.  Coefficients of the even series
+Taylor coefficients vanish.  The even series
 
     r(t) = a_2 t^2 + a_4 t^4 + ... + a_m t^m
 
-follow recursively by cancelling the ODE residual order by order: adding
-d t^(2k) shifts the residual at order t^(2k-2) by d 2k (2k + n - 2), so each
-coefficient is determined by the residual of the shorter truncation.  The
-residual of the degree-m truncation is itself an even function of t, hence
-O(t^m) rather than the naive O(t^(m-1)).
+is computed in slope form.  Multiplying the ODE by 1 + y^2, with y = r',
+gives
+
+    y' + (n - 1) (y/t) (1 + y^2) = (1 + y^2)^((3 - alpha)/2),
+
+and writing y = t Y(u) with u = t^2 turns it into one triangular
+recurrence for the coefficients of Y:
+
+    (2k + n) Y_k = P_k - (n - 1) [Y^3]_(k-1),    P = (1 + u Y^2)^((3 - alpha)/2),
+
+where P_k depends on Y_0..Y_(k-1) only and is carried by J.C.P. Miller's
+power recurrence (Knuth, TAOCP vol. 2, 4.7).  Then a_(2k+2) = Y_k/(2k+2).
+Each order costs O(k), the whole series O(m^2).  The residual of the
+degree-m truncation is an even function of t, hence O(t^m) rather than
+the naive O(t^(m-1)).
 """
 
 from __future__ import annotations
@@ -22,52 +32,12 @@ from .model import ModelParams
 
 __all__ = ["OriginSeries", "series_coefficients", "series_eval"]
 
-
-def _trunc_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Product of two polynomials, truncated at degree m."""
-    return np.convolve(a, b)[: m + 1]
-
-
-def _one_plus_pow(q: np.ndarray, p: float, m: int) -> np.ndarray:
-    """(1 + q)^p as a truncated series, where q has zero constant term.
-
-    Uses the generalized binomial series with coefficients built by the
-    recurrence coef *= (p - k + 1)/k, which stays exact at negative and
-    fractional p where a Gamma-function route hits poles.
-    """
-    out = np.zeros(m + 1)
-    out[0] = 1.0
-    term = np.zeros(m + 1)
-    term[0] = 1.0
-    coef = 1.0
-    for k in range(1, m + 1):
-        coef *= (p - k + 1.0) / k
-        term = _trunc_mul(term, q, m)
-        if not term.any():
-            break
-        out += coef * term
-    return out
-
-
-def _residual_series(n: int, alpha: float, r: np.ndarray, m: int) -> np.ndarray:
-    """ODE residual r''/(1+r'^2) + (n-1) r'/t - (1+r'^2)^((1-alpha)/2), to degree m."""
-    deg = len(r) - 1
-    dr = np.zeros(m + 1)
-    for i in range(1, min(deg, m + 1) + 1):
-        if i - 1 <= m:
-            dr[i - 1] = i * r[i]
-    ddr = np.zeros(m + 1)
-    for i in range(2, min(deg, m + 2) + 1):
-        if i - 2 <= m:
-            ddr[i - 2] = i * (i - 1) * r[i]
-    dr_over_t = np.zeros(m + 1)
-    for i in range(2, min(deg, m + 2) + 1):
-        if i - 2 <= m:
-            dr_over_t[i - 2] = i * r[i]
-    q = _trunc_mul(dr, dr, m)
-    lhs = _trunc_mul(ddr, _one_plus_pow(q, -1.0, m), m)
-    rhs = _one_plus_pow(q, (1.0 - alpha) / 2.0, m)
-    return lhs + (n - 1.0) * dr_over_t - rhs
+# Degree of the origin series the solver uses, and the highest accepted.
+# The profile is analytic at the axis, with a radius of convergence of
+# about n (where r'^2 = -1).  At degree 40 the last term stays below 1e-16
+# of the sum out to t of about 1 to 4 on the n 2..6 x alpha {0.5, 1, 2, 3}
+# grid, and the solver fills every node out to there from the series.
+_MAX_ORDER = 40
 
 
 @dataclass(frozen=True)
@@ -82,20 +52,28 @@ class OriginSeries:
     coeffs: tuple[float, ...]
 
 
-def series_coefficients(params: ModelParams, order: int = 8) -> OriginSeries:
+def series_coefficients(params: ModelParams, order: int = _MAX_ORDER) -> OriginSeries:
     """Compute the origin series of the profile to the given even degree."""
     if not isinstance(order, int) or isinstance(order, bool):
         raise ValueError(f"series order must be an integer, got {order!r}")
-    if order < 2 or order > 12 or order % 2:
-        raise ValueError(f"series order must be an even integer in [2, 12], got {order}")
+    if order < 2 or order > _MAX_ORDER or order % 2:
+        raise ValueError(
+            f"series order must be an even integer in [2, {_MAX_ORDER}], got {order}"
+        )
     n, alpha = params.n, params.alpha
-    r = np.zeros(order + 1)
-    r[2] = 1.0 / (2.0 * n)
-    for k in range(2, order // 2 + 1):
-        res = _residual_series(n, alpha, r, 2 * k - 2)
-        r[2 * k] = -res[2 * k - 2] / ((2.0 * k) * (2.0 * k + n - 2.0))
-    coeffs = tuple(float(r[2 * j]) for j in range(1, order // 2 + 1))
-    return OriginSeries(params=params, order=order, coeffs=coeffs)
+    gamma = (3.0 - alpha) / 2.0
+    m = order // 2
+    y, s, p = (np.zeros(m) for _ in range(3))  # s = Y^2, p = (1 + u Y^2)^gamma
+    y[0] = 1.0 / n
+    s[0] = y[0] * y[0]
+    p[0] = 1.0
+    for k in range(1, m):
+        # Miller's recurrence with the coefficients s_(j-1) of u Y^2, j = 1..k.
+        p[k] = ((gamma + 1.0) * np.arange(1, k + 1) - k) @ (s[:k] * p[k - 1::-1]) / k
+        y[k] = (p[k] - (n - 1.0) * (y[:k] @ s[k - 1::-1])) / (2.0 * k + n)
+        s[k] = y[:k + 1] @ y[k::-1]
+    coeffs = y / (2.0 * np.arange(1, m + 1))
+    return OriginSeries(params=params, order=order, coeffs=tuple(coeffs.tolist()))
 
 
 def series_eval(series: OriginSeries, t):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from helpers import mp_far_series_coeffs
+import soliton_lab
 from soliton_lab import profile as profile_module
 from soliton_lab.asymptotics import asymptotic_z
 from soliton_lab.model import ModelParams, coeff_B, g_eval, g_invert
@@ -79,8 +84,24 @@ def test_explicit_stretch_matches_reference(n, alpha):
     np.testing.assert_allclose(prof.r[1:], ref.y[0], rtol=2e-12, atol=0.0)
 
 
+def _solve_recording_launch(monkeypatch, params, t_max=200.0):
+    """Solve and return the profile and the t the explicit stepper starts at."""
+    launches = []
+
+    class Recording(profile_module._CarriedSlopeStepper):
+        def __init__(self, n, alpha, t, *args, **kwargs):
+            launches.append(t)
+            super().__init__(n, alpha, t, *args, **kwargs)
+
+    monkeypatch.setattr(profile_module, "_CarriedSlopeStepper", Recording)
+    prof = solve_profile(params, t_max, 1e-10)
+    (t_launch,) = launches
+    return prof, t_launch
+
+
 def test_explicit_stretch_inverts_once_per_node(monkeypatch):
-    # Stages carry the slope; only the projection at each node inverts g.
+    # Stages carry the slope; only the projection at each node the stepper
+    # lands on inverts g.  The origin series nodes need no inversion.
     calls = []
     invert = profile_module._invert_slope
 
@@ -89,8 +110,85 @@ def test_explicit_stretch_inverts_once_per_node(monkeypatch):
         return invert(*args)
 
     monkeypatch.setattr(profile_module, "_invert_slope", counting)
-    prof = solve_profile(ModelParams(3, 2.0), 5.0, 1e-10)
-    assert len(calls) == len(prof.phase_z) - 1
+    prof, t_launch = _solve_recording_launch(monkeypatch, ModelParams(3, 2.0), 5.0)
+    assert 0.01 < t_launch < 5.0
+    assert len(calls) == np.count_nonzero(prof.grid > t_launch)
+
+
+@pytest.mark.parametrize("n, alpha", [(2, 5.0), (6, 0.5), (10, 0.3)])
+def test_origin_series_nodes_match_reference(monkeypatch, n, alpha):
+    """Every node filled by the origin series against scipy's DOP853.
+
+    The reference integrates (r, z) at rtol 1e-13 from the first node, with
+    the slope recovered by inversion, and must agree with the series nodes
+    up to the launch of the explicit stepper.  Its atol is that of
+    ``test_explicit_stretch_matches_reference``: at atol 1e-20 its first
+    steps on (2, 5) miss a 50-digit evaluation of z by 1.05e-13, where the
+    series nodes are within 1.7e-16 of it.
+    """
+    params = ModelParams(n, alpha)
+    prof, t_launch = _solve_recording_launch(monkeypatch, params, 20.0)
+    m = n - 1.0
+
+    def rhs(t, u):
+        y = g_invert((1.0 + u[1]) * t / m, params)
+        return [y, -(1.0 + n * u[1] + alpha * m * u[1] * y * y) / t]
+
+    t = prof.grid[1:]
+    t = t[t <= t_launch]
+    assert len(t) > 100
+    ref = solve_ivp(
+        rhs, (t[0], t[-1]), [prof.r[1], prof.phase_z[0]], method="DOP853",
+        t_eval=t, rtol=1e-13, atol=1e-15,
+    )
+    assert ref.success
+    np.testing.assert_allclose(prof.phase_z[:len(t)], ref.y[1], rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(prof.r[1:len(t) + 1], ref.y[0], rtol=1e-13, atol=0.0)
+
+
+def test_origin_series_stops_inside_its_radius(monkeypatch):
+    # At (2, 5) the series' radius of convergence is about 1.19.
+    _, t_launch = _solve_recording_launch(monkeypatch, ModelParams(2, 5.0))
+    assert t_launch < 1.19
+
+
+def test_dop853_tableau_matches_scipy():
+    """The literal tableau equals scipy's DOP853 tables bit for bit."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    stages = ref.N_STAGES
+    assert profile_module._STAGES == stages
+    assert bits(profile_module._C) == bits(ref.C[:stages])
+    for s in range(stages):
+        ours = dict(profile_module._A[s])
+        assert [j for j in range(s) if ref.A[s, j] != 0.0] == sorted(ours)
+        assert bits(ours.values()) == bits(ref.A[s, sorted(ours)])
+    ours = dict(profile_module._B)
+    assert [j for j in range(len(ref.B)) if ref.B[j] != 0.0] == sorted(ours)
+    assert bits(ours.values()) == bits(ref.B[sorted(ours)])
+    assert bits(profile_module._E3) == bits(ref.E3)
+    assert bits(profile_module._E5) == bits(ref.E5)
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test dependency only; importing the package must not load it."""
+    src = str(Path(soliton_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, soliton_lab; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _solve_recording_handoff(monkeypatch, params, t_max=200.0):

@@ -16,7 +16,7 @@ def test_leading_coefficient(n, alpha):
 
 def test_order_validation():
     p = ModelParams(2, 1.0)
-    for bad in (0, 3, 7, 14, -2, 2.0, True, "8"):
+    for bad in (0, 3, 7, 42, -2, 2.0, True, "8"):
         with pytest.raises(ValueError):
             series_coefficients(p, bad)
 
@@ -28,6 +28,22 @@ def test_coefficients_match_high_precision_recursion(n, alpha, order):
     oracle = mp_series_coeffs(n, alpha, order)
     for a, b in zip(ours, oracle):
         assert a == pytest.approx(float(b), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "n, alpha", [(2, 0.15), (6, 0.5), (10, 10.0), (2, 5.0), (3, 2.0), (4, 1.0)]
+)
+def test_fixed_order_matches_high_precision_recursion(n, alpha):
+    """The default, highest-order series against the 50-digit recomputation.
+
+    The solver evaluates every coefficient of this series out to t of a
+    few units, so each one must be accurate, not just the leading ones.
+    """
+    s = series_coefficients(ModelParams(n, alpha))
+    assert s.order == 40
+    oracle = mp_series_coeffs(n, alpha, s.order)
+    for a, b in zip(s.coeffs, oracle):
+        assert a == pytest.approx(float(b), rel=1e-12)
 
 
 def test_eval_at_origin():
@@ -73,9 +89,9 @@ def test_higher_order_invisible_below_switch(n, alpha):
     """Orders 8 and 12 agree to the last ulp everywhere below the switch.
 
     The first dropped term is a10 t^10 <= 1e-25 on [0, 1e-2] while r is
-    of size t^2/(2n), so double precision cannot resolve the difference.
-    That is what makes the order-8 launch exact for the integrator; a
-    corrupted high-order coefficient of size one would show up here.
+    of size t^2/(2n), so double precision cannot resolve the difference
+    there; a corrupted high-order coefficient of size one would show up
+    here.
     """
     p = ModelParams(n, alpha)
     s8 = series_coefficients(p, 8)
