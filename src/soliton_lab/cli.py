@@ -8,6 +8,7 @@ one check failed, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -36,7 +37,9 @@ class RunConfig:
     format: str
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="soliton-lab",
         description="Radial translator profiles: solve, verify, fit, scan.",

@@ -101,57 +101,6 @@ class SolverError(RuntimeError):
     """Integration failed or left the representable range."""
 
 
-# DOP853 tableau (Hairer, Norsett and Wanner, Solving ODEs I, II.10) as
-# Python floats: the stepper below works on three scalars, where array
-# arithmetic costs more than it saves.  Zero entries of A and B are
-# dropped.  The values are scipy's (scipy.integrate._ivp.
-# dop853_coefficients), written out so that the package does not import
-# scipy; a test checks them bit for bit.
-_STAGES = 12
-_C = [
-    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
-    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-    0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
-]
-_A = [
-    [],
-    [(0, 0.05260015195876773)],
-    [(0, 0.0197250569845379), (1, 0.0591751709536137)],
-    [(0, 0.02958758547680685), (2, 0.08876275643042054)],
-    [(0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)],
-    [(0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)],
-    [(0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
-     (5, -0.017578125)],
-    [(0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
-     (5, -0.015319437748624402), (6, 0.008273789163814023)],
-    [(0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
-     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)],
-    [(0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
-     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
-     (8, -0.020331201708508627)],
-    [(0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
-     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
-     (8, 2.4936055526796523), (9, -3.0467644718982196)],
-    [(0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
-     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
-     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)],
-]
-_B = [
-    (0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
-    (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
-    (10, 0.20136540080403034), (11, 0.04471061572777259),
-]
-# Error estimators over the 12 stages and the rhs at the new point.
-_E3 = [
-    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
-    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
-    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0,
-]
-_E5 = [
-    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
-    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
-    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0,
-]
 # Step-size controller: error estimator order 7, so the error scales like
 # h^8; safety factor and growth bounds as in the reference code.
 _EXPONENT = -1.0 / 8.0
@@ -173,10 +122,18 @@ class _CarriedSlopeStepper:
     control, and :meth:`project` puts it back on the constraint at every
     grid node (the projection of Hairer, Lubich and Wanner, Geometric
     Numerical Integration, IV.4).  One instance serves one solve.
+
+    The state is three Python floats, where array arithmetic costs more
+    than it saves, and :meth:`_rk_step` is straight-line code with the
+    DOP853 tableau (Hairer, Norsett and Wanner, Solving ODEs I, II.10) in
+    it as float literals.  The values are scipy's (scipy.integrate._ivp.
+    dop853_coefficients), written out so that the package does not import
+    scipy; a test checks the step against a loop over scipy's tables bit
+    for bit.
     """
 
     def __init__(self, n, alpha, t, r, z, y, t_end, rtol, atol):
-        self.n = n
+        self.n = float(n)  # float times float skips the int conversion
         self.an = alpha * (n - 1.0)
         self.wp_exp = (3.0 - alpha) / 2.0
         self.rtol, self.atol = rtol, atol
@@ -212,39 +169,165 @@ class _CarriedSlopeStepper:
             h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
         return min(100.0 * h0, h1, interval)
 
-    def _rk_step(self, h):
-        """One DOP853 step of size h: the new state, its rhs, and the error norm."""
-        rhs = self._rhs
-        t, r, z, y = self.t, self.r, self.z, self.y
-        kr, kz, ky = [self.f[0]], [self.f[1]], [self.f[2]]
-        for s in range(1, _STAGES):
-            dr = dz = dy = 0.0
-            for j, a in _A[s]:
-                dr += a * kr[j]
-                dz += a * kz[j]
-                dy += a * ky[j]
-            fr, fz, fy = rhs(t + _C[s] * h, r + dr * h, z + dz * h, y + dy * h)
-            kr.append(fr)
-            kz.append(fz)
-            ky.append(fy)
-        dr = dz = dy = 0.0
-        for j, b in _B:
-            dr += b * kr[j]
-            dz += b * kz[j]
-            dy += b * ky[j]
+    def _rk_step(self, t, r, z, y, f, h):
+        """One DOP853 step of size h from (t, r, z, y) with rhs f.
+
+        Returns the new (r, z, y), its rhs and the error norm.  The code
+        is straight-line: each stage writes out its nonzero tableau entries
+        and its right-hand side.  Stage s has slope kr_s (the carried y at
+        the stage), z rate kz_s and y rate ky_s; the r stage values are
+        never formed, since no rate reads r.  Every sum, the error
+        estimators' too, runs over the nonzero weights in index order, so
+        each result is the one a loop over the full tableau gives, bit for
+        bit.
+        """
+        n, an, wp_exp = self.n, self.an, self.wp_exp
+        kr0, kz0, ky0 = f
+        zs = z + (0.05260015195876773 * kz0) * h
+        kr1 = y + (0.05260015195876773 * ky0) * h
+        kz1 = -(1.0 + n * zs + an * zs * kr1 * kr1) / (t + 0.05260015195876773 * h)
+        ky1 = -zs * (1.0 + kr1 * kr1) ** wp_exp
+        zs = z + (0.0197250569845379 * kz0 + 0.0591751709536137 * kz1) * h
+        kr2 = y + (0.0197250569845379 * ky0 + 0.0591751709536137 * ky1) * h
+        kz2 = -(1.0 + n * zs + an * zs * kr2 * kr2) / (t + 0.0789002279381516 * h)
+        ky2 = -zs * (1.0 + kr2 * kr2) ** wp_exp
+        zs = z + (0.02958758547680685 * kz0 + 0.08876275643042054 * kz2) * h
+        kr3 = y + (0.02958758547680685 * ky0 + 0.08876275643042054 * ky2) * h
+        kz3 = -(1.0 + n * zs + an * zs * kr3 * kr3) / (t + 0.1183503419072274 * h)
+        ky3 = -zs * (1.0 + kr3 * kr3) ** wp_exp
+        zs = z + (
+            0.2413651341592667 * kz0 - 0.8845494793282861 * kz2 + 0.924834003261792 * kz3
+        ) * h
+        kr4 = y + (
+            0.2413651341592667 * ky0 - 0.8845494793282861 * ky2 + 0.924834003261792 * ky3
+        ) * h
+        kz4 = -(1.0 + n * zs + an * zs * kr4 * kr4) / (t + 0.2816496580927726 * h)
+        ky4 = -zs * (1.0 + kr4 * kr4) ** wp_exp
+        zs = z + (
+            0.037037037037037035 * kz0 + 0.17082860872947386 * kz3
+            + 0.12546768756682242 * kz4
+        ) * h
+        kr5 = y + (
+            0.037037037037037035 * ky0 + 0.17082860872947386 * ky3
+            + 0.12546768756682242 * ky4
+        ) * h
+        kz5 = -(1.0 + n * zs + an * zs * kr5 * kr5) / (t + 0.3333333333333333 * h)
+        ky5 = -zs * (1.0 + kr5 * kr5) ** wp_exp
+        zs = z + (
+            0.037109375 * kz0 + 0.17025221101954405 * kz3 + 0.06021653898045596 * kz4
+            - 0.017578125 * kz5
+        ) * h
+        kr6 = y + (
+            0.037109375 * ky0 + 0.17025221101954405 * ky3 + 0.06021653898045596 * ky4
+            - 0.017578125 * ky5
+        ) * h
+        kz6 = -(1.0 + n * zs + an * zs * kr6 * kr6) / (t + 0.25 * h)
+        ky6 = -zs * (1.0 + kr6 * kr6) ** wp_exp
+        zs = z + (
+            0.03709200011850479 * kz0 + 0.17038392571223998 * kz3
+            + 0.10726203044637328 * kz4 - 0.015319437748624402 * kz5
+            + 0.008273789163814023 * kz6
+        ) * h
+        kr7 = y + (
+            0.03709200011850479 * ky0 + 0.17038392571223998 * ky3
+            + 0.10726203044637328 * ky4 - 0.015319437748624402 * ky5
+            + 0.008273789163814023 * ky6
+        ) * h
+        kz7 = -(1.0 + n * zs + an * zs * kr7 * kr7) / (t + 0.3076923076923077 * h)
+        ky7 = -zs * (1.0 + kr7 * kr7) ** wp_exp
+        zs = z + (
+            0.6241109587160757 * kz0 - 3.3608926294469414 * kz3 - 0.868219346841726 * kz4
+            + 27.59209969944671 * kz5 + 20.154067550477894 * kz6 - 43.48988418106996 * kz7
+        ) * h
+        kr8 = y + (
+            0.6241109587160757 * ky0 - 3.3608926294469414 * ky3 - 0.868219346841726 * ky4
+            + 27.59209969944671 * ky5 + 20.154067550477894 * ky6 - 43.48988418106996 * ky7
+        ) * h
+        kz8 = -(1.0 + n * zs + an * zs * kr8 * kr8) / (t + 0.6512820512820513 * h)
+        ky8 = -zs * (1.0 + kr8 * kr8) ** wp_exp
+        zs = z + (
+            0.47766253643826434 * kz0 - 2.4881146199716677 * kz3 - 0.590290826836843 * kz4
+            + 21.230051448181193 * kz5 + 15.279233632882423 * kz6 - 33.28821096898486 * kz7
+            - 0.020331201708508627 * kz8
+        ) * h
+        kr9 = y + (
+            0.47766253643826434 * ky0 - 2.4881146199716677 * ky3 - 0.590290826836843 * ky4
+            + 21.230051448181193 * ky5 + 15.279233632882423 * ky6 - 33.28821096898486 * ky7
+            - 0.020331201708508627 * ky8
+        ) * h
+        kz9 = -(1.0 + n * zs + an * zs * kr9 * kr9) / (t + 0.6 * h)
+        ky9 = -zs * (1.0 + kr9 * kr9) ** wp_exp
+        zs = z + (
+            -0.9371424300859873 * kz0 + 5.186372428844064 * kz3 + 1.0914373489967295 * kz4
+            - 8.149787010746927 * kz5 - 18.52006565999696 * kz6 + 22.739487099350505 * kz7
+            + 2.4936055526796523 * kz8 - 3.0467644718982196 * kz9
+        ) * h
+        kr10 = y + (
+            -0.9371424300859873 * ky0 + 5.186372428844064 * ky3 + 1.0914373489967295 * ky4
+            - 8.149787010746927 * ky5 - 18.52006565999696 * ky6 + 22.739487099350505 * ky7
+            + 2.4936055526796523 * ky8 - 3.0467644718982196 * ky9
+        ) * h
+        kz10 = -(1.0 + n * zs + an * zs * kr10 * kr10) / (t + 0.8571428571428571 * h)
+        ky10 = -zs * (1.0 + kr10 * kr10) ** wp_exp
+        zs = z + (
+            2.273310147516538 * kz0 - 10.53449546673725 * kz3 - 2.0008720582248625 * kz4
+            - 17.9589318631188 * kz5 + 27.94888452941996 * kz6 - 2.8589982771350235 * kz7
+            - 8.87285693353063 * kz8 + 12.360567175794303 * kz9 + 0.6433927460157636 * kz10
+        ) * h
+        kr11 = y + (
+            2.273310147516538 * ky0 - 10.53449546673725 * ky3 - 2.0008720582248625 * ky4
+            - 17.9589318631188 * ky5 + 27.94888452941996 * ky6 - 2.8589982771350235 * ky7
+            - 8.87285693353063 * ky8 + 12.360567175794303 * ky9 + 0.6433927460157636 * ky10
+        ) * h
+        kz11 = -(1.0 + n * zs + an * zs * kr11 * kr11) / (t + h)
+        ky11 = -zs * (1.0 + kr11 * kr11) ** wp_exp
+        dr = (
+            0.054293734116568765 * kr0 + 4.450312892752409 * kr5 + 1.8915178993145003 * kr6
+            - 5.801203960010585 * kr7 + 0.3111643669578199 * kr8 - 0.1521609496625161 * kr9
+            + 0.20136540080403034 * kr10 + 0.04471061572777259 * kr11
+        )
+        dz = (
+            0.054293734116568765 * kz0 + 4.450312892752409 * kz5 + 1.8915178993145003 * kz6
+            - 5.801203960010585 * kz7 + 0.3111643669578199 * kz8 - 0.1521609496625161 * kz9
+            + 0.20136540080403034 * kz10 + 0.04471061572777259 * kz11
+        )
+        dy = (
+            0.054293734116568765 * ky0 + 4.450312892752409 * ky5 + 1.8915178993145003 * ky6
+            - 5.801203960010585 * ky7 + 0.3111643669578199 * ky8 - 0.1521609496625161 * ky9
+            + 0.20136540080403034 * ky10 + 0.04471061572777259 * ky11
+        )
         r_new, z_new, y_new = r + h * dr, z + h * dz, y + h * dy
-        f_new = rhs(t + h, r_new, z_new, y_new)
-        kr.append(f_new[0])
-        kz.append(f_new[1])
+        t_new = t + h
+        f_new = (
+            y_new,
+            -(1.0 + n * z_new + an * z_new * y_new * y_new) / t_new,
+            -z_new * (1.0 + y_new * y_new) ** wp_exp,
+        )
 
         scale_r = self.atol + max(abs(r), abs(r_new)) * self.rtol
         scale_z = self.atol + max(abs(z), abs(z_new)) * self.rtol
-        e5r = e5z = e3r = e3z = 0.0
-        for e5, e3, a, b in zip(_E5, _E3, kr, kz):
-            e5r += e5 * a
-            e5z += e5 * b
-            e3r += e3 * a
-            e3z += e3 * b
+        e5r = (
+            0.01312004499419488 * kr0 - 1.2251564463762044 * kr5 - 0.4957589496572502 * kr6
+            + 1.6643771824549864 * kr7 - 0.35032884874997366 * kr8
+            + 0.3341791187130175 * kr9 + 0.08192320648511571 * kr10
+            - 0.022355307863886294 * kr11
+        )
+        e5z = (
+            0.01312004499419488 * kz0 - 1.2251564463762044 * kz5 - 0.4957589496572502 * kz6
+            + 1.6643771824549864 * kz7 - 0.35032884874997366 * kz8
+            + 0.3341791187130175 * kz9 + 0.08192320648511571 * kz10
+            - 0.022355307863886294 * kz11
+        )
+        e3r = (
+            -0.18980075407240762 * kr0 + 4.450312892752409 * kr5 + 1.8915178993145003 * kr6
+            - 5.801203960010585 * kr7 - 0.4226823213237919 * kr8 - 0.1521609496625161 * kr9
+            + 0.20136540080403034 * kr10 + 0.02265179219836082 * kr11
+        )
+        e3z = (
+            -0.18980075407240762 * kz0 + 4.450312892752409 * kz5 + 1.8915178993145003 * kz6
+            - 5.801203960010585 * kz7 - 0.4226823213237919 * kz8 - 0.1521609496625161 * kz9
+            + 0.20136540080403034 * kz10 + 0.02265179219836082 * kz11
+        )
         e5r /= scale_r
         e5z /= scale_z
         e3r /= scale_r
@@ -259,10 +342,10 @@ class _CarriedSlopeStepper:
 
     def advance_to(self, t_target):
         """Take accepted steps until t_target is reached exactly."""
-        while self.t < t_target:
-            t = self.t
+        t, r, z, y, f, h_abs = self.t, self.r, self.z, self.y, self.f, self.h_abs
+        while t < t_target:
             min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-            h_abs = max(self.h_abs, min_step)
+            h_abs = max(h_abs, min_step)
             rejected = False
             while True:
                 if h_abs < min_step:
@@ -273,7 +356,7 @@ class _CarriedSlopeStepper:
                 t_new = min(t + h_abs, t_target)
                 h_abs = t_new - t
                 try:
-                    state, f_new, error_norm = self._rk_step(h_abs)
+                    state, f_new, error_norm = self._rk_step(t, r, z, y, f, h_abs)
                 except OverflowError:
                     # A trial stage left float range; shrink like any
                     # rejected step and let the minimum step decide.
@@ -289,10 +372,8 @@ class _CarriedSlopeStepper:
                     break
                 h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
                 rejected = True
-            self.t = t_new
-            self.r, self.z, self.y = state
-            self.f = f_new
-            self.h_abs = h_abs
+            t, (r, z, y), f = t_new, state, f_new
+        self.t, self.r, self.z, self.y, self.f, self.h_abs = t, r, z, y, f, h_abs
 
     def project(self, y):
         """Replace the carried slope by its value on the constraint."""
@@ -588,14 +669,23 @@ def solve_profile(
     # The origin series fills every node it resolves to float precision,
     # up to the first node where the last term of r or of r' exceeds 1e-16
     # of the sum.  Both are a power of t times a series in u = t^2, with
-    # coefficients a_j and j a_j.  The stepper launches from the last node
-    # the series fills, node 0 at the least.
+    # coefficients a_j and j a_j.  The test runs chunk by chunk, over t up
+    # to 4, then up to 16, 64 and so on, and stops at its first failure,
+    # which lies at t of 1 to 4 on the n 2..6 grid.  The stepper launches
+    # from the last node the series fills, node 0 at the least.
     a = np.array(series.coeffs)
-    u = t_nodes * t_nodes
-    resolved = _last_term_negligible(a, u) & _last_term_negligible(
-        a * np.arange(2.0, 2.0 * len(a) + 1.0, 2.0), u
-    )
-    launch = max(int(np.argmin(np.append(resolved, False))) - 1, 0)
+    da = a * np.arange(2.0, 2.0 * len(a) + 1.0, 2.0)
+    first_miss, start, t_bound = n_seg + 1, 0, 4.0
+    while start <= n_seg:
+        stop = int(np.searchsorted(t_nodes, t_bound, side="right"))
+        t_chunk = t_nodes[start:stop]
+        u = t_chunk * t_chunk
+        resolved = _last_term_negligible(a, u) & _last_term_negligible(da, u)
+        if not resolved.all():
+            first_miss = start + int(np.argmin(resolved))
+            break
+        start, t_bound = stop, 4.0 * t_bound
+    launch = max(first_miss - 1, 0)
     r_nodes = np.empty(n_seg + 1)
     z_nodes = np.empty(n_seg + 1)
     y_nodes = np.empty(n_seg + 1)

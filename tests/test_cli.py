@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from soliton_lab.cli import run_cli
+import soliton_lab
+from soliton_lab.cli import _build_parser, run_cli
 
 
 def test_solve_stdout_csv(capsys):
@@ -137,3 +140,37 @@ def test_module_entry_point_usage_error():
     )
     assert proc.returncode == 2
     assert "usage" in proc.stderr
+
+
+def _fresh_process(argv, env):
+    """Exit code, stdout and stderr of the CLI in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "soliton_lab", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reused_across_calls(monkeypatch, capsys):
+    """Calls in one process, sharing one parser, print what fresh processes print."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    src = str(Path(soliton_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    runs = [
+        ["solve", "--n", "3", "--alpha", "2", "--tmax", "25", "--format", "json"],
+        ["asymptotics", "--n", "2", "--alpha", "2", "--tmax", "60"],
+        ["solve", "--n", "2"],
+        ["--help"],
+        ["asymptotics", "--n", "3", "--alpha", "1", "--tmax", "40", "--format", "json"],
+    ]
+    in_process = []
+    for argv in runs:
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0]
+    assert in_process == [_fresh_process(argv, env) for argv in runs]
+    assert _build_parser() is _build_parser()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import mp_far_series_coeffs
+from helpers import dop853_loop_step, mp_far_series_coeffs
 import soliton_lab
 from soliton_lab import profile as profile_module
 from soliton_lab.asymptotics import asymptotic_z
@@ -152,25 +152,62 @@ def test_origin_series_stops_inside_its_radius(monkeypatch):
     assert t_launch < 1.19
 
 
-def test_dop853_tableau_matches_scipy():
-    """The literal tableau equals scipy's DOP853 tables bit for bit."""
-    from scipy.integrate._ivp import dop853_coefficients as ref
+def _step_bits(step, stepper, state, h):
+    """float.hex of a step's new state, its rhs and error norm; None on overflow."""
+    try:
+        (r, z, y), f_new, error_norm = step(stepper, *state, h)
+    except OverflowError:
+        return None
+    return [float(v).hex() for v in (r, z, y, *f_new, error_norm)]
 
-    def bits(values):
-        return [float(v).hex() for v in values]
 
-    stages = ref.N_STAGES
-    assert profile_module._STAGES == stages
-    assert bits(profile_module._C) == bits(ref.C[:stages])
-    for s in range(stages):
-        ours = dict(profile_module._A[s])
-        assert [j for j in range(s) if ref.A[s, j] != 0.0] == sorted(ours)
-        assert bits(ours.values()) == bits(ref.A[s, sorted(ours)])
-    ours = dict(profile_module._B)
-    assert [j for j in range(len(ref.B)) if ref.B[j] != 0.0] == sorted(ours)
-    assert bits(ours.values()) == bits(ref.B[sorted(ours)])
-    assert bits(profile_module._E3) == bits(ref.E3)
-    assert bits(profile_module._E5) == bits(ref.E5)
+def test_dop853_step_matches_loop_oracle():
+    """The straight-line step equals the loop over scipy's tables bit for bit.
+
+    This checks every literal tableau entry as the step uses it: stage
+    weights, nodes, solution weights and both error estimators.  The
+    states are seeded random (n, alpha, t, r, z, y, h) with the slope y on
+    the constraint for the defect z and h up to three times the inverse
+    relaxation rate of z.  Where every output is finite, the new state,
+    its rhs and the error norm must match to the last bit.  A step that
+    leaves float range is rejected by the controller whatever its bits,
+    since its error norm is not below 1; there the two forms must agree
+    that it does, and most states must stay finite.
+    """
+    rng = np.random.default_rng(20081)
+    finite = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 11))
+        alpha = float(10.0 ** rng.uniform(-0.7, 1.0))
+        t = float(10.0 ** rng.uniform(-2.0, 3.3))
+        r = float(t * rng.uniform(0.0, 3.0))
+        z = float(rng.uniform(-0.9, 0.1))
+        y = g_invert((1.0 + z) * t / (n - 1.0), ModelParams(n, alpha))
+        h_max = 3.0 * t / (n + alpha * (n - 1.0) * y * y)
+        h = float(h_max * 10.0 ** rng.uniform(-3.0, 0.0))
+        stepper = profile_module._CarriedSlopeStepper(
+            n, alpha, t, r, z, y, 2.0 * t, rtol=1e-12, atol=1e-13
+        )
+        state = (t, r, z, y, stepper.f)
+        ours = _step_bits(profile_module._CarriedSlopeStepper._rk_step, stepper, state, h)
+        oracle = _step_bits(dop853_loop_step, stepper, state, h)
+        if ours is not None and all(math.isfinite(float.fromhex(v)) for v in ours):
+            assert ours == oracle
+            finite += 1
+        else:
+            assert oracle is None or not float.fromhex(oracle[-1]) < 1.0
+    assert finite >= 350
+
+
+@pytest.mark.parametrize("n, alpha", [(2, 0.5), (3, 2.0), (6, 1.0), (2, 5.0), (10, 0.3)])
+def test_solve_matches_loop_step_bitwise(monkeypatch, n, alpha):
+    """Every node of a solve is the same with the loop-form step in place."""
+    params = ModelParams(n, alpha)
+    straight = solve_profile(params, 200.0, 1e-10)
+    monkeypatch.setattr(profile_module._CarriedSlopeStepper, "_rk_step", dop853_loop_step)
+    loop = solve_profile(params, 200.0, 1e-10)
+    for name in ("grid", "r", "dr", "ddr", "dddr", "phase_z"):
+        assert getattr(straight, name).tobytes() == getattr(loop, name).tobytes(), name
 
 
 def test_import_loads_no_scipy():
