@@ -49,7 +49,7 @@ from .verify import (
     sample_ball,
     scan_gradient_bound,
 )
-from .cli import RunConfig, run_cli
+from .cli import run_cli
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "OriginSeries",
     "PhaseTrajectory",
     "RadialProfile",
-    "RunConfig",
     "ScanSample",
     "SolverError",
     "asymptotic_eval",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, coeff_B, coeff_C, coefficient_set, is_log_branch
+from .model import ModelParams, coeff_B, coefficient_set, is_log_branch
 from .profile import RadialProfile
 
 __all__ = [
@@ -42,24 +42,16 @@ def asymptotic_eval(params: ModelParams, C1: float | None, t):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("far-field expansion needs t > 0")
-    n, alpha = params.n, params.alpha
+    alpha = params.alpha
+    leading, second = expected_coefficients(params)
     if is_log_branch(alpha):
         if C1 is None:
             raise ValueError("alpha = 1 expansion needs the constant C1")
-        out = (
-            t * t / (2.0 * (n - 1.0))
-            - np.log(t)
-            + C1
-            - 0.5 * (n - 1.0) * (n - 4.0) / (t * t)
-        )
+        out = leading * (t * t) - np.log(t) + C1 + second / (t * t)
     else:
         if C1 is not None:
             raise ValueError("C1 is defined only on the alpha = 1 branch")
-        coeffs = coefficient_set(params)
-        out = (
-            coeffs.leading * t ** (1.0 + 1.0 / alpha)
-            - coeffs.c_coeff * t ** (1.0 - 1.0 / alpha)
-        )
+        out = leading * t ** (1.0 + 1.0 / alpha) + second * t ** (1.0 - 1.0 / alpha)
     if out.ndim == 0:
         return float(out)
     return out
@@ -111,10 +103,11 @@ def expected_coefficients(params: ModelParams) -> tuple[float, float]:
     The second coefficient multiplies t^(1 - 1/alpha) for alpha != 1 (so it
     is -C), and t^(-2) on the alpha = 1 branch (so it is -(n-1)(n-4)/2).
     """
-    n = params.n
-    if is_log_branch(params.alpha):
-        return 1.0 / (2.0 * (n - 1.0)), -0.5 * (n - 1.0) * (n - 4.0)
-    return coefficient_set(params).leading, -coeff_C(params)
+    cs = coefficient_set(params)
+    if cs.log_term:
+        n = params.n
+        return cs.leading, -0.5 * (n - 1.0) * (n - 4.0)
+    return cs.leading, -cs.c_coeff
 
 
 @dataclass(eq=False)
@@ -182,12 +175,15 @@ def fit_far_field(
     params = profile.params
     n, alpha = params.n, params.alpha
     if is_log_branch(alpha):
+        # t^2/(2(n-1)) and not leading * t^2: the product rounds differently
+        # at n = 4 and 6, and the fitted coefficients would move in their
+        # last digits.
         known = t * t / (2.0 * (n - 1.0)) - np.log(t)
         coefs, rms = _scaled_lstsq([np.ones_like(t), t ** -2.0], r - known)
         return FarFieldFit(
             params=params,
             window=(t_lo, t_hi),
-            fitted_leading=1.0 / (2.0 * (n - 1.0)),
+            fitted_leading=coefficient_set(params).leading,
             fitted_second=float(coefs[1]),
             fitted_C1=float(coefs[0]),
             residual_norm=rms,

@@ -10,31 +10,17 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
 
 from .asymptotics import fit_far_field
 from .model import validate_params
-from .output import emit_report, profile_document, scan_document, table_document
+from .output import _fit_record, emit_report, profile_document, scan_document, table_document
 from .profile import SolverError, solve_profile
 from .verify import default_scan_geometry, run_battery, scan_gradient_bound
 
-__all__ = ["RunConfig", "run_cli", "main"]
+__all__ = ["run_cli", "main"]
 
 TABLE_DIMENSIONS = (2, 3, 4, 5, 6)
 TABLE_EXPONENTS = (0.5, 1.0, 2.0, 3.0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: command plus the shared numeric flags."""
-
-    command: str
-    n: int | None
-    alpha: float | None
-    t_max: float
-    tol: float
-    output_path: str | None
-    format: str
 
 
 @functools.lru_cache(maxsize=1)
@@ -74,73 +60,45 @@ def _write(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        alpha=getattr(args, "alpha", None),
-        t_max=args.tmax,
-        tol=args.tol,
-        output_path=args.out,
-        format=args.format,
-    )
-
-
 def _table_cell(n: int, alpha: float, t_max: float, tol: float) -> dict:
-    params = validate_params(n, alpha)
-    profile = solve_profile(params, t_max, tol)
-    fit = fit_far_field(profile)
-    from .asymptotics import expected_coefficients
-
-    expected_leading, expected_second = expected_coefficients(params)
-    return {
-        "n": n,
-        "alpha": alpha,
-        "fitted_leading": fit.fitted_leading,
-        "expected_leading": expected_leading,
-        "fitted_second": fit.fitted_second,
-        "expected_second": expected_second,
-        "fitted_C1": fit.fitted_C1,
-        "residual_norm": fit.residual_norm,
-    }
+    profile = solve_profile(validate_params(n, alpha), t_max, tol)
+    record = _fit_record(fit_far_field(profile))
+    del record["window"]
+    return {"n": n, "alpha": alpha, **record}
 
 
-def _run_table(config: RunConfig) -> int:
-    rows = [
-        _table_cell(n, a, config.t_max, config.tol)
-        for n in TABLE_DIMENSIONS
-        for a in TABLE_EXPONENTS
-    ]
-    _write(table_document(rows, config.format), config.output_path)
-    return 0
-
-
-def _dispatch(config: RunConfig) -> int:
-    if config.command == "table":
-        return _run_table(config)
-
-    params = validate_params(config.n, config.alpha)
-    if config.command == "solve":
-        profile = solve_profile(params, config.t_max, config.tol)
-        _write(profile_document(profile, config.format), config.output_path)
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "table":
+        rows = [
+            _table_cell(n, a, args.tmax, args.tol)
+            for n in TABLE_DIMENSIONS
+            for a in TABLE_EXPONENTS
+        ]
+        _write(table_document(rows, args.format), args.out)
         return 0
-    if config.command == "verify":
-        profile = solve_profile(params, config.t_max, config.tol)
+
+    params = validate_params(args.n, args.alpha)
+    if args.command == "solve":
+        profile = solve_profile(params, args.tmax, args.tol)
+        _write(profile_document(profile, args.format), args.out)
+        return 0
+    if args.command == "verify":
+        profile = solve_profile(params, args.tmax, args.tol)
         reports = run_battery(profile)
         fit = fit_far_field(profile)
-        _write(emit_report(reports, fit, config.format), config.output_path)
+        _write(emit_report(reports, fit, args.format), args.out)
         return 0 if all(c.passed for c in reports) else 1
-    if config.command == "asymptotics":
-        profile = solve_profile(params, config.t_max, config.tol)
+    if args.command == "asymptotics":
+        profile = solve_profile(params, args.tmax, args.tol)
         fit = fit_far_field(profile)
-        _write(emit_report([], fit, config.format), config.output_path)
+        _write(emit_report([], fit, args.format), args.out)
         return 0
-    if config.command == "scan-gradient":
-        centers, radii = default_scan_geometry(config.t_max)
-        report = scan_gradient_bound(params, centers, radii, config.tol)
-        _write(scan_document(report, config.format), config.output_path)
+    if args.command == "scan-gradient":
+        centers, radii = default_scan_geometry(args.tmax)
+        report = scan_gradient_bound(params, centers, radii, args.tol)
+        _write(scan_document(report, args.format), args.out)
         return 0
-    raise ValueError(f"unknown command {config.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 def run_cli(argv: list[str] | None = None) -> int:
@@ -152,9 +110,8 @@ def run_cli(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass it through.
         code = exc.code
         return int(code) if code is not None else 0
-    config = _config_from_args(args)
     try:
-        return _dispatch(config)
+        return _dispatch(args)
     except (ValueError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

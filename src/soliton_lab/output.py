@@ -1,9 +1,13 @@
 """Serializers for profiles, check reports, fits, and scans.
 
-All emitters are deterministic: stable key order, fixed float formatting
-(17 significant digits in CSV, shortest-round-trip in JSON), UTF-8,
-newline-terminated.  The check-report emitter has a matching parser and
-the pair round-trips exactly.
+Every document goes through one emitter, which takes a format, a header,
+rows of cells and a JSON document.  JSON is the document at indent 2 with
+its keys in insertion order and floats in shortest round-trip form.  CSV
+is the header and the rows through one cell rule: None is empty, a bool
+is true/false, an int or str stands as is and a float takes 17
+significant digits.  Both are UTF-8 and newline-terminated, and the same
+inputs always give the same bytes.  The check-report emitter has a
+matching parser and the pair round-trips exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 from .asymptotics import FarFieldFit, expected_coefficients
 from .model import ModelParams
 from .profile import RadialProfile
-from .verify import CheckReport, GradientScanReport
+from .verify import CheckReport, GradientScanReport, ScanSample
 
 __all__ = [
     "emit_report",
@@ -31,7 +35,37 @@ def _f(x: float) -> str:
     return f"{float(x):.16e}"
 
 
-def _fit_payload(fit: FarFieldFit) -> dict:
+def _cell(value) -> str:
+    if isinstance(value, float):  # first: nearly every cell is one
+        return _f(value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    return _f(value)
+
+
+def _check_format(format: str) -> str:
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown format {format!r} (expected csv or json)")
+    return format
+
+
+def _emit(format: str, header, rows, doc) -> str:
+    """``doc`` as JSON, or ``header`` and ``rows`` (an empty row is a blank line) as CSV."""
+    if _check_format(format) == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_cell, row) for row in rows)
+    return buf.getvalue()
+
+
+def _fit_record(fit: FarFieldFit) -> dict:
+    """A fit beside the closed-form coefficients it should recover."""
     expected_leading, expected_second = expected_coefficients(fit.params)
     return {
         "window": [fit.window[0], fit.window[1]],
@@ -60,45 +94,16 @@ def emit_report(
         if fit is None:
             raise ValueError("need params when no fit is supplied")
         params = fit.params
-    if format == "json":
-        doc = {
-            "params": {"n": params.n, "alpha": params.alpha},
-            "checks": [
-                {
-                    "name": c.name,
-                    "pass": c.passed,
-                    "metric": c.metric,
-                    "tolerance": c.tolerance,
-                    "detail": c.detail,
-                }
-                for c in reports
-            ],
-            "fit": _fit_payload(fit) if fit is not None else None,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "pass", "metric", "tolerance", "detail"])
-        for c in reports:
-            writer.writerow(
-                [c.name, "true" if c.passed else "false", _f(c.metric), _f(c.tolerance), c.detail]
-            )
-        buf.write("\n")
-        writer.writerow(["key", "value"])
-        writer.writerow(["n", str(params.n)])
-        writer.writerow(["alpha", _f(params.alpha)])
-        if fit is not None:
-            for key, value in _fit_payload(fit).items():
-                if key == "window":
-                    writer.writerow(["window_lo", _f(value[0])])
-                    writer.writerow(["window_hi", _f(value[1])])
-                elif value is None:
-                    writer.writerow([key, ""])
-                else:
-                    writer.writerow([key, _f(value)])
-        return buf.getvalue()
-    raise ValueError(f"unknown format {format!r} (expected csv or json)")
+    header = ["name", "pass", "metric", "tolerance", "detail"]
+    rows = [[c.name, c.passed, c.metric, c.tolerance, c.detail] for c in reports]
+    checks = [dict(zip(header, row)) for row in rows]
+    record = _fit_record(fit) if fit is not None else None
+    rows += [[], ["key", "value"], ["n", params.n], ["alpha", params.alpha]]
+    if record is not None:
+        rows += [["window_lo", record["window"][0]], ["window_hi", record["window"][1]]]
+        rows += [[key, value] for key, value in record.items() if key != "window"]
+    doc = {"params": {"n": params.n, "alpha": params.alpha}, "checks": checks, "fit": record}
+    return _emit(format, header, rows, doc)
 
 
 def parse_report(text: str, format: str = "csv") -> dict:
@@ -107,7 +112,7 @@ def parse_report(text: str, format: str = "csv") -> dict:
     Returns {"params": {...}, "checks": [CheckReport, ...], "fit": dict or
     None}; parse(emit(x)) reproduces the CheckReport list exactly.
     """
-    if format == "json":
+    if _check_format(format) == "json":
         doc = json.loads(text)
         checks = [
             CheckReport(
@@ -120,89 +125,59 @@ def parse_report(text: str, format: str = "csv") -> dict:
             for c in doc.get("checks", [])
         ]
         return {"params": doc.get("params"), "checks": checks, "fit": doc.get("fit")}
-    if format == "csv":
-        head, _, tail = text.partition("\n\n")
-        rows = list(csv.reader(io.StringIO(head)))
-        checks = [
-            CheckReport(
-                name=row[0],
-                passed=row[1] == "true",
-                metric=float(row[2]),
-                tolerance=float(row[3]),
-                detail=row[4] if len(row) > 4 else "",
-            )
-            for row in rows[1:]
-            if row
-        ]
-        params: dict = {}
-        fit: dict = {}
-        for row in csv.reader(io.StringIO(tail)):
-            if not row or row[0] == "key":
-                continue
-            key, value = row[0], row[1]
-            if key == "n":
-                params["n"] = int(value)
-            elif key == "alpha":
-                params["alpha"] = float(value)
-            else:
-                fit[key] = float(value) if value else None
-        return {"params": params or None, "checks": checks, "fit": fit or None}
-    raise ValueError(f"unknown format {format!r} (expected csv or json)")
+    head, _, tail = text.partition("\n\n")
+    rows = list(csv.reader(io.StringIO(head)))
+    checks = [
+        CheckReport(
+            name=row[0],
+            passed=row[1] == "true",
+            metric=float(row[2]),
+            tolerance=float(row[3]),
+            detail=row[4] if len(row) > 4 else "",
+        )
+        for row in rows[1:]
+        if row
+    ]
+    params: dict = {}
+    fit: dict = {}
+    for row in csv.reader(io.StringIO(tail)):
+        if not row or row[0] == "key":
+            continue
+        key, value = row[0], row[1]
+        if key == "n":
+            params["n"] = int(value)
+        elif key == "alpha":
+            params["alpha"] = float(value)
+        else:
+            fit[key] = float(value) if value else None
+    return {"params": params or None, "checks": checks, "fit": fit or None}
 
 
 def profile_document(profile: RadialProfile, format: str = "csv") -> str:
     """Serialize a profile; CSV columns exactly t,r,dr,ddr at 17 digits."""
-    if format == "csv":
-        lines = ["t,r,dr,ddr"]
-        for k in range(len(profile.grid)):
-            lines.append(
-                f"{_f(profile.grid[k])},{_f(profile.r[k])},"
-                f"{_f(profile.dr[k])},{_f(profile.ddr[k])}"
-            )
-        return "\n".join(lines) + "\n"
-    if format == "json":
-        doc = {
-            "params": {"n": profile.params.n, "alpha": profile.params.alpha},
-            "tol": profile.tol,
-            "profile": {
-                "t": list(profile.grid),
-                "r": list(profile.r),
-                "dr": list(profile.dr),
-                "ddr": list(profile.ddr),
-            },
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    raise ValueError(f"unknown format {format!r} (expected csv or json)")
+    columns = {
+        "t": profile.grid.tolist(),
+        "r": profile.r.tolist(),
+        "dr": profile.dr.tolist(),
+        "ddr": profile.ddr.tolist(),
+    }
+    doc = {
+        "params": {"n": profile.params.n, "alpha": profile.params.alpha},
+        "tol": profile.tol,
+        "profile": columns,
+    }
+    return _emit(format, list(columns), zip(*columns.values()), doc)
 
 
 def scan_document(report: GradientScanReport, format: str = "csv") -> str:
-    """Serialize a gradient scan."""
-    if format == "csv":
-        lines = ["center_offset,radius,M,grad_norm,ratio"]
-        for s in report.samples:
-            lines.append(
-                f"{_f(s.center_offset)},{_f(s.radius)},{_f(s.M)},"
-                f"{_f(s.grad_norm)},{_f(s.ratio)}"
-            )
-        lines.append(f"sup_ratio,{_f(report.sup_ratio)},,,")
-        return "\n".join(lines) + "\n"
-    if format == "json":
-        doc = {
-            "params": {"n": report.params.n, "alpha": report.params.alpha},
-            "samples": [
-                {
-                    "center_offset": s.center_offset,
-                    "radius": s.radius,
-                    "M": s.M,
-                    "grad_norm": s.grad_norm,
-                    "ratio": s.ratio,
-                }
-                for s in report.samples
-            ],
-            "sup_ratio": report.sup_ratio,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    raise ValueError(f"unknown format {format!r} (expected csv or json)")
+    """Serialize a gradient scan; CSV ends in a ``sup_ratio`` row."""
+    rows = [*report.samples, ["sup_ratio", report.sup_ratio, None, None, None]]
+    doc = {
+        "params": {"n": report.params.n, "alpha": report.params.alpha},
+        "samples": [s._asdict() for s in report.samples],
+        "sup_ratio": report.sup_ratio,
+    }
+    return _emit(format, ScanSample._fields, rows, doc)
 
 
 def table_document(rows: list[dict], format: str = "csv") -> str:
@@ -217,20 +192,5 @@ def table_document(rows: list[dict], format: str = "csv") -> str:
         "fitted_C1",
         "residual_norm",
     ]
-    if format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            cells = []
-            for col in columns:
-                value = row[col]
-                if value is None:
-                    cells.append("")
-                elif col == "n":
-                    cells.append(str(value))
-                else:
-                    cells.append(_f(value))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-    if format == "json":
-        return json.dumps({"table": rows}, indent=2) + "\n"
-    raise ValueError(f"unknown format {format!r} (expected csv or json)")
+    cells = [[row[col] for col in columns] for row in rows]
+    return _emit(format, columns, cells, {"table": rows})

@@ -75,6 +75,10 @@ __all__ = ["RadialProfile", "SolverError", "solve_profile"]
 
 _TOL_MIN, _TOL_MAX = 1e-13, 1e-6
 
+# Largest accepted outer radius: a cap against overflow, since the slope
+# grows like t^(1/alpha).
+_T_MAX_CAP = 1e4
+
 # Relaxation rate (per unit log t) times grid spacing above which the
 # trajectory counts as relaxed onto the slow manifold: any component off
 # it decays by e^-3 per grid step.  DOP853's real-axis stability boundary
@@ -584,7 +588,6 @@ def solve_profile(
     *,
     switch_radius: float = 1e-2,
     grid_spacing: float | None = None,
-    t_cap: float = 1e4,
 ) -> RadialProfile:
     """Construct the radial profile on [0, t_max].
 
@@ -613,12 +616,12 @@ def solve_profile(
     ----------
     params : ModelParams
     t_max : float
-        Outer radius, switch_radius < t_max <= t_cap.
+        Outer radius, switch_radius < t_max <= 1e4.
     tol : float
         Accuracy target in [1e-13, 1e-6]; the internal relative tolerance
         is set two orders tighter (floored near machine precision), with
         a fixed absolute floor on the defect channel.
-    switch_radius, grid_spacing, t_cap
+    switch_radius, grid_spacing
         Launch and discretization knobs; the defaults satisfy every
         documented accuracy contract.
 
@@ -640,11 +643,8 @@ def solve_profile(
         raise ValueError(f"switch radius must lie in (0, 0.1], got {switch_radius:g}")
     if not (t_max > switch_radius):
         raise ValueError(f"t_max must exceed the switch radius {switch_radius:g}")
-    if t_max > t_cap:
-        raise ValueError(
-            f"t_max = {t_max:g} exceeds the overflow cap {t_cap:g}; raise t_cap "
-            "only with alpha large enough that t^(1/alpha) stays in float range"
-        )
+    if t_max > _T_MAX_CAP:
+        raise ValueError(f"t_max = {t_max:g} exceeds the supported limit {_T_MAX_CAP:g}")
     n, alpha = params.n, params.alpha
     if grid_spacing is None:
         grid_spacing = 1e-2 if alpha >= 1.0 else 3.25e-3

@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, coeff_C, g_eval, is_log_branch
-from .phase import PhaseTrajectory
-from .profile import RadialProfile, solve_profile
+from .model import ModelParams, coeff_C, coefficient_set, g_eval, is_log_branch
+from .phase import PhaseTrajectory, phase_trajectory
+from .profile import _TOL_MIN, RadialProfile, solve_profile
 
 __all__ = [
     "CheckReport",
@@ -196,16 +196,11 @@ def blow_down_deviation(profile: RadialProfile, h: float, samples: int = 513) ->
     """sup over t in [0,1] of the blow-down gap |h^{-p} r(h t) - L t^p|."""
     if h <= 0.0 or h > profile.t_max * (1.0 + 4e-16):
         raise ValueError("blow-down scale h must lie inside the solved range")
-    params = profile.params
-    n, alpha = params.n, params.alpha
+    cs = coefficient_set(profile.params)
+    p = 2.0 if cs.log_term else 1.0 + 1.0 / profile.params.alpha
     tau = np.linspace(0.0, 1.0, samples)
     rr = profile.evaluate(np.minimum(h * tau, profile.t_max))[0]
-    if is_log_branch(alpha):
-        limit = tau * tau / (2.0 * (n - 1.0))
-        return float(np.abs(rr / (h * h) - limit).max())
-    p = 1.0 + 1.0 / alpha
-    leading = alpha / (alpha + 1.0) * (n - 1.0) ** (-1.0 / alpha)
-    return float(np.abs(rr / h ** p - leading * tau ** p).max())
+    return float(np.abs(rr / h ** p - cs.leading * tau ** p).max())
 
 
 def check_blow_down(profile: RadialProfile) -> CheckReport:
@@ -347,7 +342,7 @@ def check_refinement_agreement(profile: RadialProfile) -> CheckReport:
     """
     tol = profile.tol
     fine = solve_profile(
-        profile.params, profile.t_max, max(tol / 10.0, 1e-13),
+        profile.params, profile.t_max, max(tol / 10.0, _TOL_MIN),
         switch_radius=profile.switch_radius / 2.0,
     )
     t = profile.grid[1:]
@@ -368,8 +363,6 @@ def run_battery(profile: RadialProfile, rng_seed: int = 0) -> list[CheckReport]:
     The PDE residual uses 1000 seeded random points in the half-radius
     ball; the refinement check compares the profile with one finer solve.
     """
-    from .phase import phase_trajectory
-
     traj = phase_trajectory(profile)
     rng = np.random.default_rng(rng_seed)
     points = sample_ball(rng, 1000, profile.params.n, profile.t_max / 2.0)

@@ -109,7 +109,7 @@ def test_scan_gradient_subcommand(capsys):
     assert len(lines) == 14
 
 
-def test_table_thread_count_invariant(tmp_path):
+def test_table_one_row_per_grid_cell(tmp_path):
     """One row per grid cell under the header."""
     target = tmp_path / "table.csv"
     assert run_cli(["table", "--tmax", "25", "--tol", "1e-8", "--out", str(target)]) == 0
