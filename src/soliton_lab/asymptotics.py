@@ -16,6 +16,7 @@ evaluated by the ``asymptotic_y`` / ``asymptotic_z`` pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,16 +129,32 @@ class FarFieldFit:
     residual_norm: float
 
 
+def _gram_cond(gram: np.ndarray) -> float:
+    """2-norm condition number of a symmetric 2x2 Gram matrix, in closed form.
+
+    The eigenvalues are mean +- radius; the smaller one is taken as det over
+    the larger, which keeps its relative accuracy, so the condition number
+    is larger^2/det.  inf unless det > 0, as for collinear columns.  This
+    spares the SVD of ``np.linalg.cond``.
+    """
+    (g11, g12), (_, g22) = gram.tolist()
+    det = g11 * g22 - g12 * g12
+    if not det > 0.0:
+        return math.inf
+    big = 0.5 * (g11 + g22) + math.hypot(0.5 * (g11 - g22), g12)
+    return big * big / det
+
+
 def _scaled_lstsq(columns: list[np.ndarray], target: np.ndarray) -> tuple[np.ndarray, float]:
-    """Normal-equations solve on max-norm scaled columns; returns (coefs, rms)."""
+    """Normal-equations solve on two max-norm scaled columns; returns (coefs, rms)."""
     a = np.column_stack(columns)
     scale = np.abs(a).max(axis=0)
     if np.any(scale == 0.0):
         raise ValueError("degenerate fit basis column")
     a_s = a / scale
     gram = a_s.T @ a_s
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
+    cond = _gram_cond(gram)
+    if not math.isfinite(cond) or cond > 1e12:
         raise ValueError(
             f"ill-conditioned far-field fit (normal-system condition {cond:.3g})"
         )

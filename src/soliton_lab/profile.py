@@ -41,10 +41,15 @@ trajectory has relaxed, it is the slow manifold, which is a power series
 in x = ((n - 1)/t)^(2/alpha) with coefficients fixed order by order (the
 reduced system of a singularly perturbed problem, Hairer and Wanner,
 Solving ODEs II, VI.2-3).  The explicit stretch ends at the first node
-where the trajectory has relaxed (the rate exceeds a budget per grid
-step, or the defect is small) and the far-field series' last term is
-negligible.  Every later node is one evaluation of that series, and the
-radius there is accumulated by a quintic Hermite quadrature that the
+where the far-field series' last term is negligible and the integrated
+defect already agrees with the series' z to the stepper's relative
+tolerance.  That agreement holds from then on: the z equation is scalar
+and first order, and it pulls every neighbouring trajectory toward the
+manifold, so the gap only shrinks.  Where agreement comes late or not at
+all (alpha of 0.2 or less at tight tolerances), a relaxation test ends
+the stretch instead: the rate exceeds a budget per grid step, or the
+defect is small.  Every later node is one evaluation of that series, and
+the radius there is accumulated by a quintic Hermite quadrature that the
 endpoint derivative data makes exact through degree five.
 
 Grid nodes are exact integrator step endpoints in the explicit stretch:
@@ -60,7 +65,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .model import (
     ModelParams,
@@ -79,25 +83,30 @@ _TOL_MIN, _TOL_MAX = 1e-13, 1e-6
 # grows like t^(1/alpha).
 _T_MAX_CAP = 1e4
 
-# Relaxation rate (per unit log t) times grid spacing above which the
-# trajectory counts as relaxed onto the slow manifold: any component off
-# it decays by e^-3 per grid step.  DOP853's real-axis stability boundary
-# sits near 6, so the explicit stretch is still error-limited there.
+# The relaxation tests are the fallback handoff, for cells where the
+# integrated defect does not agree with the far-field series to the
+# stepper's tolerance by the time the trajectory has relaxed; on a sweep
+# of n in {2, 3, 5, 7, 10} and alpha from 0.15 to 10 at tol 1e-10 that is
+# (2, 0.15) and (2, 0.2) alone.  The first test: relaxation rate (per unit
+# log t) times grid spacing above which the trajectory counts as relaxed
+# onto the slow manifold, since any component off it decays by e^-3 per
+# grid step.  DOP853's real-axis stability boundary sits near 6, so the
+# explicit stretch is still error-limited there.
 _STIFFNESS_BUDGET = 3.0
 
-# The other relaxation test, for cells whose rate grows slowly (large
+# The second relaxation test, for cells whose rate grows slowly (large
 # alpha): |z| <= alpha * _SLAVE_COEF.  The defect is then small enough
 # that the trajectory follows the slow manifold to its integration
-# tolerance.  Either test, together with a converged far-field series,
-# ends the explicit stretch.
+# tolerance.  Agreement with the series or either test, together with a
+# converged far-field series, ends the explicit stretch.
 _SLAVE_COEF = 1.6e-3
 
 # Order of the far-field series past the explicit stretch.  Its
 # coefficients grow factorially (see _far_series), so the order is fixed
 # and the handoff waits until the last term is negligible.  With 48 terms,
-# on a sweep of n in {2, 3, 5, 7, 10} and alpha from 0.15 to 10 at t_max
-# 200 and 2000, every cell hands off at its first relaxed node except
-# (10, 10), 17 nodes later.
+# on the sweep above at t_max 200 and at 2000, that wait binds in 52 of
+# its 60 cells: z already agrees with the 48-term sum 2 to 154 nodes
+# earlier.
 _FAR_ORDER = 48
 
 
@@ -405,7 +414,7 @@ def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
     so the series is asymptotic, and a fixed order serves every cell once
     the caller waits for its last term to be negligible.  Below alpha of
     about 0.005 the last coefficients leave float range and become inf or
-    nan, and :func:`_far_series_converged` then never passes.
+    nan, and :func:`_last_term_negligible` then never passes.
     """
     c = alpha * (n - 1.0)
     beta = (alpha - 1.0) / 2.0
@@ -425,21 +434,33 @@ def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
     return u, w
 
 
+def _polyval(x, c):
+    """The power series with coefficients c, lowest order first, at x.
+
+    Horner's rule with the operations of numpy.polynomial.polynomial.polyval
+    in its order, so the result is bitwise the same, without importing
+    numpy.polynomial.
+    """
+    total = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        total = ck + total * x
+    return total
+
+
 def _last_term_negligible(c, x):
     """Where the last term of the power series c at x is below 1e-16 of its sum.
 
-    Element-wise in x.  False everywhere when the last coefficient is not
-    finite, so a series whose coefficients left float range is never used.
+    Element-wise in x.  False where the sum is not finite, and everywhere
+    when the last coefficient is not, so a series that overflows at x or
+    whose coefficients left float range is never used.
     """
     if not math.isfinite(c[-1]):
         return np.zeros(np.shape(x), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(c[-1]) * x ** (len(c) - 1) <= 1e-16 * np.abs(polyval(x, c))
-
-
-def _far_series_converged(u, w, x: float) -> bool:
-    """True when the last term of U(x) and of W(x) is below 1e-16 of the sum."""
-    return bool(_last_term_negligible(u, x) and _last_term_negligible(w, x))
+        total = _polyval(x, c)
+        return np.isfinite(total) & (
+            np.abs(c[-1]) * x ** (len(c) - 1) <= 1e-16 * np.abs(total)
+        )
 
 
 def _second_and_third(n: int, alpha: float, t, y, z):
@@ -599,11 +620,14 @@ def solve_profile(
     or r'.  From the last such node an explicit embedded Runge-Kutta
     method (DOP853, stepped in this module) integrates the (r, z) system,
     landing exactly on every node; it carries the slope y as a third state
-    and projects it back onto (n - 1) g(y) = (1 + z) t at every node.  At
-    the first node where the trajectory has relaxed onto the slow manifold
-    (the relaxation rate exceeds the explicit stability budget per grid
-    step, or |z| is below 0.0016 alpha) and the far-field series in
-    ((n - 1)/t)^(2/alpha) has converged to float precision, the
+    and projects it back onto (n - 1) g(y) = (1 + z) t at every node.  The
+    far-field series in ((n - 1)/t)^(2/alpha), its convergence to float
+    precision and its z are evaluated once at every node past the launch.
+    At the first node where that series has converged and the integrated z
+    agrees with the series' z to the stepper's relative tolerance (with no
+    absolute floor), or, failing that, where the trajectory has relaxed
+    onto the slow manifold (the relaxation rate exceeds the explicit
+    stability budget per grid step, or |z| is below 0.0016 alpha), the
     integration stops: every remaining node is evaluated from the series,
     and the radius is summed over them by Hermite quadrature.
 
@@ -709,7 +733,15 @@ def solve_profile(
     log_branch = is_log_branch(alpha)
     rate_cap = _STIFFNESS_BUDGET / grid_spacing
     slave_gate = alpha * _SLAVE_COEF
+    # The far-field series at every node past the launch, once: x, where
+    # both series have converged, and the series z there (nan elsewhere).
+    # Node k is at index k - launch - 1.
     u_far, w_far = _far_series(n, alpha)
+    x_far = (m / t_nodes[launch + 1:]) ** (2.0 / alpha)
+    converged = _last_term_negligible(u_far, x_far) & _last_term_negligible(w_far, x_far)
+    z_far = np.full_like(x_far, np.nan)
+    z_far[converged] = -x_far[converged] * _polyval(x_far[converged], w_far) / c
+    converged, z_far = converged.tolist(), z_far.tolist()
     tail = n_seg + 1  # first far-series node; past the end until the handoff
     for k in range(launch + 1, n_seg + 1):
         tk = float(t_nodes[k])
@@ -729,13 +761,16 @@ def solve_profile(
         y_nodes[k] = yk
         if k == n_seg:
             break
-        relaxed = abs(zk) <= slave_gate or n + c * (yk * yk + 2.0 * zk * yk * dydz) > rate_cap
-        if relaxed and _far_series_converged(u_far, w_far, (m / tk) ** (2.0 / alpha)):
+        j = k - launch - 1
+        if converged[j] and (
+            abs(zk - z_far[j]) <= rtol * abs(zk)
+            or abs(zk) <= slave_gate
+            or n + c * (yk * yk + 2.0 * zk * yk * dydz) > rate_cap
+        ):
             tail = k + 1
-            t_far = t_nodes[tail:]
-            x = (m / t_far) ** (2.0 / alpha)
-            y_nodes[tail:] = (t_far / m) ** (1.0 / alpha) * polyval(x, u_far)
-            z_nodes[tail:] = -x * polyval(x, w_far) / c
+            x = x_far[j + 1:]
+            y_nodes[tail:] = (t_nodes[tail:] / m) ** (1.0 / alpha) * _polyval(x, u_far)
+            z_nodes[tail:] = -x * _polyval(x, w_far) / c
             break
         stepper.project(yk)
 

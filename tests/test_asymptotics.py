@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from soliton_lab.asymptotics import (
+    _gram_cond,
+    _scaled_lstsq,
     asymptotic_eval,
     asymptotic_y,
     asymptotic_z,
@@ -154,3 +156,30 @@ def test_fit_window_validation(profile_of):
 def test_second_coefficient_formula_spot():
     # C(2, 2) = 1 exactly: the alpha = 2, n = 2 closed form collapses
     assert coeff_C(ModelParams(2, 2.0)) == 1.0
+
+
+def test_gram_cond_matches_numpy():
+    """The closed-form condition number against ``np.linalg.cond``.
+
+    Seeded random two-column bases from well conditioned to nearly
+    collinear; both sides lose about eps * cond of relative accuracy to
+    the smaller eigenvalue, so they agree to 1e-14 * cond relative.
+    """
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        a = rng.standard_normal(60)
+        b = a + 10.0 ** rng.uniform(-7.0, 1.0) * rng.standard_normal(60)
+        cols = np.column_stack([a, b])
+        cols = cols / np.abs(cols).max(axis=0)
+        gram = cols.T @ cols
+        expect = np.linalg.cond(gram)
+        ours = _gram_cond(gram)
+        assert abs(ours - expect) <= 1e-14 * expect * expect, (ours, expect)
+
+
+def test_scaled_lstsq_rejects_collinear_basis():
+    t = np.linspace(1.0, 2.0, 50)
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        _scaled_lstsq([t, 3.0 * t], t * t)
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        _scaled_lstsq([t, t * (1.0 + 1e-9 * t)], t * t)

@@ -14,12 +14,22 @@ from helpers import dop853_loop_step, mp_far_series_coeffs
 import soliton_lab
 from soliton_lab import profile as profile_module
 from soliton_lab.asymptotics import asymptotic_z
-from soliton_lab.model import ModelParams, coeff_B, g_eval, g_invert
+from soliton_lab.model import (
+    ModelParams,
+    _slope_map_deriv,
+    coeff_B,
+    g_eval,
+    g_invert,
+    is_log_branch,
+)
 from soliton_lab.profile import (
     RadialProfile,
     SolverError,
+    _SLAVE_COEF,
+    _STIFFNESS_BUDGET,
     _far_series,
-    _far_series_converged,
+    _last_term_negligible,
+    _polyval,
     solve_profile,
 )
 
@@ -211,14 +221,18 @@ def test_solve_matches_loop_step_bitwise(monkeypatch, n, alpha):
 
 
 def test_import_loads_no_scipy():
-    """scipy is a test dependency only; importing the package must not load it."""
+    """scipy is a test dependency only; importing the package must not load it.
+
+    Nor numpy.polynomial: the series sums use the in-module ``_polyval``.
+    """
     src = str(Path(soliton_lab.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [
             sys.executable, "-c",
             "import sys, soliton_lab; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith('numpy.polynomial')))",
         ],
         capture_output=True,
         text=True,
@@ -228,21 +242,51 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def _solve_recording_handoff(monkeypatch, params, t_max=200.0):
-    """Solve and return the profile and x at its handoff node."""
-    handoffs = []
-    converged = profile_module._far_series_converged
+def test_polyval_bitwise_equals_numpy():
+    """``_polyval`` is numpy's polyval bit for bit, on arrays and on scalars."""
+    from numpy.polynomial.polynomial import polyval
 
-    def recording(u, w, x):
-        ok = converged(u, w, x)
-        if ok:
-            handoffs.append(x)
-        return ok
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        c = rng.standard_normal(int(rng.integers(1, 50))) * 10.0 ** rng.uniform(-20, 20)
+        x = rng.uniform(-2.0, 2.0, int(rng.integers(1, 300))) * 10.0 ** rng.uniform(-8, 1)
+        assert _polyval(x, c).tobytes() == polyval(x, c).tobytes()
+        x0 = float(x[0])
+        assert np.float64(_polyval(x0, c)).tobytes() == np.float64(polyval(x0, c)).tobytes()
 
-    monkeypatch.setattr(profile_module, "_far_series_converged", recording)
-    prof = solve_profile(params, t_max, 1e-10)
-    (x,) = handoffs
-    return prof, x
+
+def test_last_term_negligible_false_where_the_sum_overflows():
+    """A sum that overflows is not converged, although inf <= inf holds.
+
+    The far series of (2, 0.5) at t = 0.01 has x = 1e8, where both its sum
+    and its last term leave float range.
+    """
+    u, w = _far_series(2, 0.5)
+    x = np.array([(1.0 / 0.01) ** 4.0, 1e-6])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(_polyval(x[0], u))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _last_term_negligible(u, x).tolist() == [False, True]
+        assert _last_term_negligible(w, x).tolist() == [False, True]
+
+
+def _solve_recording_handoff(monkeypatch, params, t_max=200.0, tol=1e-10):
+    """Solve and return the profile and every node the explicit stepper lands on.
+
+    The last of them is the handoff node: the far-field series fills every
+    node after it, and none when it is t_max.
+    """
+    targets = []
+
+    class Recording(profile_module._CarriedSlopeStepper):
+        def advance_to(self, t_target):
+            targets.append(t_target)
+            super().advance_to(t_target)
+
+    monkeypatch.setattr(profile_module, "_CarriedSlopeStepper", Recording)
+    prof = solve_profile(params, t_max, tol)
+    return prof, np.array(targets)
 
 
 @pytest.mark.parametrize("n, alpha", [(2, 1.0), (2, 2.0), (5, 2.0)])
@@ -254,10 +298,10 @@ def test_series_stretch_matches_radau(monkeypatch, n, alpha):
     must carry the same defect z and radius r.
     """
     params = ModelParams(n, alpha)
-    prof, x = _solve_recording_handoff(monkeypatch, params)
+    prof, explicit = _solve_recording_handoff(monkeypatch, params)
     m = n - 1.0
     t = prof.grid[1:]
-    k = int(np.argmin(np.abs(t - m * x ** (-alpha / 2.0))))
+    (k,) = np.flatnonzero(t == explicit[-1])
     assert k < len(t) - 10
 
     def rhs(t, u):
@@ -300,7 +344,8 @@ def test_far_series_matches_high_precision(monkeypatch, n, alpha, order):
     digits in float64; their errors at the handoff are below 1e-94.
     """
     u, w = _far_series(n, alpha, order)
-    _, x_use = _solve_recording_handoff(monkeypatch, ModelParams(n, alpha), 2000.0)
+    _, explicit = _solve_recording_handoff(monkeypatch, ModelParams(n, alpha), 2000.0)
+    x_use = ((n - 1.0) / explicit[-1]) ** (2.0 / alpha)
     for ours, exact in zip((u, w), _far_oracle_scaled(n, alpha, order)):
         for k, (a, b) in enumerate(zip(ours, exact)):
             err = abs(float(a - b))
@@ -325,7 +370,74 @@ def test_far_series_out_of_float_range_is_never_used():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u, w = _far_series(2, 0.001)
-        assert not _far_series_converged(u, w, 1e-12)
+        assert not _last_term_negligible(u, 1e-12)
+        assert not _last_term_negligible(w, 1e-12)
+
+
+@pytest.mark.parametrize("n, alpha", [(2, 2.0), (3, 3.0)])
+def test_handoff_where_the_defect_matches_the_series(monkeypatch, n, alpha):
+    """The handoff comes where z agrees with the series, not where it relaxes.
+
+    These cells hand off at t of about 22 and 25, where the series has
+    converged and z agrees with it to the stepper's tolerance; the relaxed
+    gate alone waits until t of about 151 on (2, 2) and never passes on
+    (3, 3) at t_max 200.
+    """
+    _, explicit = _solve_recording_handoff(monkeypatch, ModelParams(n, alpha))
+    assert explicit[-1] < 40.0
+
+
+def _relaxed_and_converged(params, t, y, z):
+    """Where the relaxed gate holds at the nodes (t, y, z) and the series has converged."""
+    n, alpha = params.n, params.alpha
+    m = n - 1.0
+    c = alpha * m
+    rate_cap = _STIFFNESS_BUDGET / (1e-2 if alpha >= 1.0 else 3.25e-3)
+    if is_log_branch(alpha):
+        dydz = t / m
+    else:
+        dydz = t / (m * np.array([_slope_map_deriv(alpha, float(v)) for v in y]))
+    relaxed = (np.abs(z) <= alpha * _SLAVE_COEF) | (n + c * (y * y + 2.0 * z * y * dydz) > rate_cap)
+    u, w = _far_series(n, alpha)
+    x = (m / t) ** (2.0 / alpha)
+    converged = _last_term_negligible(u, x) & _last_term_negligible(w, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_series = -x * _polyval(x, w) / c
+    return relaxed & converged, converged, z_series
+
+
+# The ends of the range, 0.2 (at tol 1e-12 the relaxed gate hands off there
+# before z agrees with the series), the log branch, and six seeded
+# log-uniform draws.
+_SWEEP_ALPHAS = sorted(
+    [0.15, 0.2, 1.0, 10.0]
+    + [float(a) for a in 10.0 ** np.random.default_rng(1010).uniform(-0.8, 1.0, 6)]
+)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 10, 15])
+def test_handoff_never_later_than_the_relaxed_gate(monkeypatch, n):
+    """On a seeded sweep every solve finishes, and the agreement gate only
+    brings the handoff forward.
+
+    No explicit node before the handoff passes the relaxed gate with the
+    series converged, and the handoff node itself has a converged series
+    and passes the relaxed gate or agrees with the series z to the
+    stepper's relative tolerance.
+    """
+    for alpha in _SWEEP_ALPHAS:
+        params = ModelParams(n, alpha)
+        for tol in (1e-8, 1e-10, 1e-12):
+            prof, explicit = _solve_recording_handoff(monkeypatch, params, 200.0, tol)
+            assert np.all(np.isfinite(prof.r)) and np.all(np.isfinite(prof.phase_z))
+            k = np.searchsorted(prof.grid[1:], explicit)
+            t, y, z = prof.grid[1:][k], prof.dr[1:][k], prof.phase_z[k]
+            gate, converged, z_series = _relaxed_and_converged(params, t, y, z)
+            assert not gate[:-1].any(), (alpha, tol, t[np.argmax(gate)])
+            if explicit[-1] < 200.0:
+                rtol = max(tol * 1e-2, 3e-14)
+                agrees = abs(z[-1] - z_series[-1]) <= rtol * abs(z[-1])
+                assert converged[-1] and (gate[-1] or agrees), (alpha, tol)
 
 
 def test_origin_row(profile_of):
