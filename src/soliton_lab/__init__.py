@@ -3,9 +3,10 @@
 Profiles are built in three regimes: the origin power series out to the
 radius where it is exact in float64, explicit DOP853 integration in phase
 variables, and a far-field power series from the first node where the
-integrated defect agrees with it to the integration tolerance (or, failing
-that, where the trajectory has relaxed onto its slow manifold).  The
-package evaluates and fits the
+integrated defect agrees with it to the integration tolerance.  Where the
+explicit stretch reaches its stability cap first, it hands off there only
+if the defect lies within the integrator's error scale of the series, and
+raises :class:`SolverError` otherwise.  The package evaluates and fits the
 far-field expansions and verifies every computable structural property
 (slope bounds, phase monotonicity, PDE residual, convexity, blow-down,
 growth, interior gradient bound, refinement agreement).

@@ -45,12 +45,13 @@ where the far-field series' last term is negligible and the integrated
 defect already agrees with the series' z to the stepper's relative
 tolerance.  That agreement holds from then on: the z equation is scalar
 and first order, and it pulls every neighbouring trajectory toward the
-manifold, so the gap only shrinks.  Where agreement comes late or not at
-all (alpha of 0.2 or less at tight tolerances), a relaxation test ends
-the stretch instead: the rate exceeds a budget per grid step, or the
-defect is small.  Every later node is one evaluation of that series, and
-the radius there is accumulated by a quintic Hermite quadrature that the
-endpoint derivative data makes exact through degree five.
+manifold, so the gap only shrinks.  If the relaxation rate first passes
+the stability budget per grid step, the stretch hands off there only with
+z within the stepper's error scale (atol + rtol |z|) of the series, and
+raises :class:`SolverError` otherwise (on the surveyed range, n = 2 at
+alpha 0.15 and 0.2).  Every later node is one evaluation of that series,
+and the radius there is accumulated by a quintic Hermite quadrature that
+the endpoint derivative data makes exact through degree five.
 
 Grid nodes are exact integrator step endpoints in the explicit stretch:
 the stepper is advanced node to node on a grid uniform in s = log t,
@@ -69,7 +70,6 @@ import numpy as np
 from .model import (
     ModelParams,
     g_eval,
-    is_log_branch,
     _invert_slope,
     _slope_map_deriv,
 )
@@ -83,30 +83,19 @@ _TOL_MIN, _TOL_MAX = 1e-13, 1e-6
 # grows like t^(1/alpha).
 _T_MAX_CAP = 1e4
 
-# The relaxation tests are the fallback handoff, for cells where the
-# integrated defect does not agree with the far-field series to the
-# stepper's tolerance by the time the trajectory has relaxed; on a sweep
-# of n in {2, 3, 5, 7, 10} and alpha from 0.15 to 10 at tol 1e-10 that is
-# (2, 0.15) and (2, 0.2) alone.  The first test: relaxation rate (per unit
-# log t) times grid spacing above which the trajectory counts as relaxed
-# onto the slow manifold, since any component off it decays by e^-3 per
-# grid step.  DOP853's real-axis stability boundary sits near 6, so the
-# explicit stretch is still error-limited there.
+# Relaxation rate (per unit log t) times grid spacing at which the explicit
+# stretch hands off, or raises if z is off the far-field series by more
+# than the stepper's error scale: any component off the slow manifold then
+# decays by e^-3 per grid step, and DOP853's real-axis stability boundary
+# sits near 6, so the stretch is still error-limited there.
 _STIFFNESS_BUDGET = 3.0
-
-# The second relaxation test, for cells whose rate grows slowly (large
-# alpha): |z| <= alpha * _SLAVE_COEF.  The defect is then small enough
-# that the trajectory follows the slow manifold to its integration
-# tolerance.  Agreement with the series or either test, together with a
-# converged far-field series, ends the explicit stretch.
-_SLAVE_COEF = 1.6e-3
 
 # Order of the far-field series past the explicit stretch.  Its
 # coefficients grow factorially (see _far_series), so the order is fixed
 # and the handoff waits until the last term is negligible.  With 48 terms,
-# on the sweep above at t_max 200 and at 2000, that wait binds in 52 of
-# its 60 cells: z already agrees with the 48-term sum 2 to 154 nodes
-# earlier.
+# on n in {2, 3, 5, 7, 10} and 15 alphas from 0.15 to 10 at tol 1e-10, at
+# t_max 200 and at 2000, that wait binds in 66 of the 73 cells that return
+# a profile: z already agrees with the 48-term sum 2 to 154 nodes earlier.
 _FAR_ORDER = 48
 
 
@@ -622,14 +611,15 @@ def solve_profile(
     landing exactly on every node; it carries the slope y as a third state
     and projects it back onto (n - 1) g(y) = (1 + z) t at every node.  The
     far-field series in ((n - 1)/t)^(2/alpha), its convergence to float
-    precision and its z are evaluated once at every node past the launch.
-    At the first node where that series has converged and the integrated z
-    agrees with the series' z to the stepper's relative tolerance (with no
-    absolute floor), or, failing that, where the trajectory has relaxed
-    onto the slow manifold (the relaxation rate exceeds the explicit
-    stability budget per grid step, or |z| is below 0.0016 alpha), the
-    integration stops: every remaining node is evaluated from the series,
-    and the radius is summed over them by Hermite quadrature.
+    precision and its z are evaluated once at every node past the last
+    origin-series node.  At the first node where that series has converged
+    and the integrated z agrees with the series' z to the stepper's
+    relative tolerance (with no absolute floor), the integration stops:
+    every remaining node is evaluated from the series, and the radius is
+    summed over them by Hermite quadrature.  If the relaxation rate passes
+    the explicit stability budget per grid step before that, the handoff
+    comes at that node provided |z - z_series| <= atol + rtol |z|, the
+    stepper's error scale; a wider gap raises :class:`SolverError`.
 
     ``grid_spacing`` defaults to 0.01 for alpha >= 1 and 0.00325 below:
     the transition region steepens like 2/alpha in log t, and the default
@@ -646,8 +636,8 @@ def solve_profile(
         is set two orders tighter (floored near machine precision), with
         a fixed absolute floor on the defect channel.
     switch_radius, grid_spacing
-        Launch and discretization knobs; the defaults satisfy every
-        documented accuracy contract.
+        The first node of the lattice and its spacing in log t; the
+        defaults satisfy every documented accuracy contract.
 
     Raises
     ------
@@ -655,7 +645,9 @@ def solve_profile(
         Invalid tolerance or geometry.
     SolverError
         Failed integration step or non-finite state (reported with the t
-        at which it occurred), or predicted slope overflow for tiny alpha.
+        at which it occurred), predicted slope overflow for tiny alpha, or
+        z off the far-field series by more than atol + rtol |z| where the
+        relaxation rate passes the stability budget.
     """
     if not isinstance(params, ModelParams):
         raise ValueError("params must be a ModelParams instance")
@@ -730,9 +722,7 @@ def solve_profile(
 
     m = float(n - 1)
     c = alpha * m
-    log_branch = is_log_branch(alpha)
     rate_cap = _STIFFNESS_BUDGET / grid_spacing
-    slave_gate = alpha * _SLAVE_COEF
     # The far-field series at every node past the launch, once: x, where
     # both series have converged, and the series z there (nan elsewhere).
     # Node k is at index k - launch - 1.
@@ -751,28 +741,32 @@ def solve_profile(
             raise SolverError(f"non-finite state at t = {tk:.6g}")
         r_nodes[k] = rk
         z_nodes[k] = zk
-        v = (1.0 + zk) * tk / m
-        if log_branch:
-            yk = v
-            dydz = tk / m
-        else:
-            yk = _invert_slope(alpha, v, stepper.y)
-            dydz = tk / (m * _slope_map_deriv(alpha, yk))
+        yk = _invert_slope(alpha, (1.0 + zk) * tk / m, stepper.y)
         y_nodes[k] = yk
         if k == n_seg:
             break
-        j = k - launch - 1
-        if converged[j] and (
-            abs(zk - z_far[j]) <= rtol * abs(zk)
-            or abs(zk) <= slave_gate
-            or n + c * (yk * yk + 2.0 * zk * yk * dydz) > rate_cap
-        ):
-            tail = k + 1
-            x = x_far[j + 1:]
-            y_nodes[tail:] = (t_nodes[tail:] / m) ** (1.0 / alpha) * _polyval(x, u_far)
-            z_nodes[tail:] = -x * _polyval(x, w_far) / c
-            break
         stepper.project(yk)
+        j = k - launch - 1
+        if not converged[j]:
+            continue
+        gap = abs(zk - z_far[j])
+        if gap > rtol * abs(zk):
+            dydz = tk / (m * _slope_map_deriv(alpha, yk))
+            if not n + c * (yk * yk + 2.0 * zk * yk * dydz) > rate_cap:
+                continue
+            limit = atol + rtol * abs(zk)
+            if gap > limit:
+                raise SolverError(
+                    f"(n, alpha) = ({n}, {alpha:g}) is outside the supported range: at "
+                    f"t = {tk:.6g} the explicit stretch reached its stability cap with z "
+                    f"{gap:.3g} off the far-field series, above the limit "
+                    f"atol + rtol |z| = {limit:.3g}"
+                )
+        tail = k + 1
+        x = x_far[j + 1:]
+        y_nodes[tail:] = (t_nodes[tail:] / m) ** (1.0 / alpha) * _polyval(x, u_far)
+        z_nodes[tail:] = -x * _polyval(x, w_far) / c
+        break
 
     ddr_nodes, dddr_nodes = _second_and_third(n, alpha, t_nodes, y_nodes, z_nodes)
 

@@ -335,10 +335,12 @@ def check_refinement_agreement(profile: RadialProfile) -> CheckReport:
     """Agreement between a solved profile and a strictly finer solve.
 
     The finer run tightens the profile's tolerance tenfold (floored at the
-    solver minimum) and halves its series switch radius, so launch and
-    stepping errors are both perturbed.  Metric is the sup over the coarse
-    grid of |r_a - r_b| / (1 + |r_a|); r reaches 1e4 and beyond, so only
-    the relative form is meaningful against 100*tol.
+    solver minimum), which perturbs the stepping errors, and halves the
+    first node of its lattice; the stepper launches from the origin
+    series' reach (t of 1 to 4) either way, so that only shifts the node
+    lattice.  Metric is the sup over the coarse grid of |r_a - r_b| /
+    (1 + |r_a|); r reaches 1e4 and beyond, so only the relative form is
+    meaningful against 100*tol.
     """
     tol = profile.tol
     fine = solve_profile(

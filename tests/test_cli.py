@@ -63,6 +63,15 @@ def test_invalid_tol_reported(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solver_error_reported(capsys):
+    """A cell outside the supported range exits 2 and writes no document."""
+    code = run_cli(["solve", "--n", "2", "--alpha", "0.15"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_verify_green_cell(capsys):
     code = run_cli(
         ["verify", "--n", "2", "--alpha", "1", "--tmax", "120", "--format", "json"]
