@@ -100,7 +100,7 @@ _FAR_ORDER = 48
 
 
 class SolverError(RuntimeError):
-    """Integration failed or left the representable range."""
+    """Integration failed, left the representable range, or met no handoff."""
 
 
 # Step-size controller: error estimator order 7, so the error scales like
