@@ -21,11 +21,9 @@ from .asymptotics import (
     fit_far_field,
 )
 from .model import (
-    CoefficientSet,
     ModelParams,
     coeff_B,
     coeff_C,
-    coefficient_set,
     g_eval,
     g_invert,
     is_log_branch,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport",
-    "CoefficientSet",
     "FarFieldFit",
     "GradientScanReport",
     "ModelParams",
@@ -78,7 +75,6 @@ __all__ = [
     "check_pde_residual",
     "check_phase_monotone",
     "check_refinement_agreement",
-    "coefficient_set",
     "coeff_B",
     "coeff_C",
     "default_scan_geometry",

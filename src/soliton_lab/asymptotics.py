@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, coeff_B, coefficient_set, is_log_branch
+from .model import ModelParams, coeff_B, coeff_C, is_log_branch
 from .profile import RadialProfile
 
 __all__ = [
@@ -104,11 +104,10 @@ def expected_coefficients(params: ModelParams) -> tuple[float, float]:
     The second coefficient multiplies t^(1 - 1/alpha) for alpha != 1 (so it
     is -C), and t^(-2) on the alpha = 1 branch (so it is -(n-1)(n-4)/2).
     """
-    cs = coefficient_set(params)
-    if cs.log_term:
-        n = params.n
-        return cs.leading, -0.5 * (n - 1.0) * (n - 4.0)
-    return cs.leading, -cs.c_coeff
+    n, a = params.n, params.alpha
+    if is_log_branch(a):
+        return 1.0 / (2.0 * (n - 1.0)), -0.5 * (n - 1.0) * (n - 4.0)
+    return a / (a + 1.0) * (n - 1.0) ** (-1.0 / a), -coeff_C(params)
 
 
 @dataclass(eq=False)
@@ -200,7 +199,7 @@ def fit_far_field(
         return FarFieldFit(
             params=params,
             window=(t_lo, t_hi),
-            fitted_leading=coefficient_set(params).leading,
+            fitted_leading=expected_coefficients(params)[0],
             fitted_second=float(coefs[1]),
             fitted_C1=float(coefs[0]),
             residual_norm=rms,

@@ -2,7 +2,10 @@
 
 Subcommands: solve, verify, asymptotics, scan-gradient, table.  Exit codes:
 0 success (and, for verify, every check passed), 1 verify ran but at least
-one check failed, 2 usage or validation error.
+one check failed, 2 usage or validation error, or a SolverError: a solve
+that failed or met no handoff, or (in verify) a profile whose phase
+residual breaks its contract.  Errors go to stderr after ``error:``, and
+no document is written.
 """
 
 from __future__ import annotations

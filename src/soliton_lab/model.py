@@ -24,13 +24,11 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "CoefficientSet",
     "validate_params",
     "g_eval",
     "g_invert",
     "coeff_B",
     "coeff_C",
-    "coefficient_set",
     "is_log_branch",
 ]
 
@@ -201,24 +199,6 @@ def g_invert(v: float, params: ModelParams) -> float:
 # far-field expansion coefficients
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Closed-form coefficients of the far-field profile expansion.
-
-    ``leading`` multiplies the power law (t^(1 + 1/alpha) in general, t^2
-    on the alpha == 1 branch), ``c_coeff`` multiplies the subleading
-    t^(1 - 1/alpha) correction and is ``None`` on the logarithmic branch,
-    ``b_coeff`` is the matching slope-expansion coefficient, and
-    ``log_term`` flags the alpha == 1 branch where a -log(t) term replaces
-    the power-law correction.
-    """
-
-    leading: float
-    b_coeff: float
-    c_coeff: float | None
-    log_term: bool
-
-
 def coeff_B(params: ModelParams) -> float:
     """Second coefficient of the far-field slope expansion.
 
@@ -254,17 +234,3 @@ def coeff_C(params: ModelParams) -> float:
         )
     return (n - 1.0) ** (1.0 / a) / (a - 1.0) * (1.0 / (a * (n - 1.0)) + (a - 1.0) / 2.0)
 
-
-def coefficient_set(params: ModelParams) -> CoefficientSet:
-    """Bundle the far-field coefficients for the given parameters."""
-    a = params.alpha
-    if is_log_branch(a):
-        leading = 1.0 / (2.0 * (params.n - 1.0))
-        return CoefficientSet(leading=leading, b_coeff=1.0, c_coeff=None, log_term=True)
-    leading = a / (a + 1.0) * (params.n - 1.0) ** (-1.0 / a)
-    return CoefficientSet(
-        leading=leading,
-        b_coeff=coeff_B(params),
-        c_coeff=coeff_C(params),
-        log_term=False,
-    )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, g_eval, is_log_branch
-from .profile import RadialProfile
+from .profile import RadialProfile, SolverError
 
 __all__ = [
     "PhaseTrajectory",
@@ -75,10 +75,12 @@ def phase_trajectory(profile: RadialProfile) -> PhaseTrajectory:
     ValueError
         Fewer than 10 positive samples, or log-t gaps too wide for the
         finite-difference stencil.
-    RuntimeError
-        Residual contract violated.  The residual includes the stencil's
-        h^6 truncation, which at tol 1e-12 exceeds the contract on correct
-        profiles: 3.1e-9 on (2, 0.5) and 5.0e-10 on (2, 1).
+    SolverError
+        Residual contract violated, so the command line reports it as a
+        refused solve (exit 2), not as a failed check.  The residual
+        includes the stencil's h^6 truncation, which at tol 1e-12 exceeds
+        the contract on correct profiles: 3.1e-9 on (2, 0.5) and 5.0e-10
+        on (2, 1).
     """
     t = profile.grid[1:]
     if len(t) < 10:
@@ -105,7 +107,7 @@ def phase_trajectory(profile: RadialProfile) -> PhaseTrajectory:
     traj = PhaseTrajectory(params=params, s=s, y=y, z=z, w=w, tol=profile.tol)
     worst = float(np.abs(z_ode_residual(traj)).max())
     if worst > 100.0 * profile.tol:
-        raise RuntimeError(
+        raise SolverError(
             f"phase residual {worst:.3e} exceeds the accuracy contract "
             f"{100.0 * profile.tol:.3e}"
         )

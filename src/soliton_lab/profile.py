@@ -73,7 +73,7 @@ from .model import (
     _invert_slope,
     _slope_map_deriv,
 )
-from .series import OriginSeries, series_coefficients, series_eval
+from .series import OriginSeries, _polyval, series_coefficients, series_eval
 
 __all__ = ["RadialProfile", "SolverError", "solve_profile"]
 
@@ -100,7 +100,12 @@ _FAR_ORDER = 48
 
 
 class SolverError(RuntimeError):
-    """Integration failed, left the representable range, or met no handoff."""
+    """No trustworthy profile.
+
+    Integration failed, left the representable range or met no handoff,
+    or (raised by :func:`~soliton_lab.phase.phase_trajectory`) a solved
+    profile broke the phase residual contract.
+    """
 
 
 # Step-size controller: error estimator order 7, so the error scales like
@@ -403,7 +408,7 @@ def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
     so the series is asymptotic, and a fixed order serves every cell once
     the caller waits for its last term to be negligible.  Below alpha of
     about 0.005 the last coefficients leave float range and become inf or
-    nan, and :func:`_last_term_negligible` then never passes.
+    nan, and :func:`_series_sum` then never reports them resolved.
     """
     c = alpha * (n - 1.0)
     beta = (alpha - 1.0) / 2.0
@@ -423,31 +428,20 @@ def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
     return u, w
 
 
-def _polyval(x, c):
-    """The power series with coefficients c, lowest order first, at x.
+def _series_sum(c, x):
+    """The power series c, lowest order first, summed at x, and where it is resolved.
 
-    Horner's rule with the operations of numpy.polynomial.polynomial.polyval
-    in its order, so the result is bitwise the same, without importing
-    numpy.polynomial.
-    """
-    total = c[-1] + x * 0
-    for ck in c[-2::-1]:
-        total = ck + total * x
-    return total
-
-
-def _last_term_negligible(c, x):
-    """Where the last term of the power series c at x is below 1e-16 of its sum.
-
-    Element-wise in x.  False where the sum is not finite, and everywhere
+    Element-wise in x: ``resolved`` is where the last term is below 1e-16
+    of the sum.  It is False where the sum is not finite, and everywhere
     when the last coefficient is not, so a series that overflows at x or
-    whose coefficients left float range is never used.
+    whose coefficients left float range is never used.  The sum is
+    returned everywhere, so a caller fills its nodes from it.
     """
-    if not math.isfinite(c[-1]):
-        return np.zeros(np.shape(x), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         total = _polyval(x, c)
-        return np.isfinite(total) & (
+        if not math.isfinite(c[-1]):
+            return total, np.zeros(np.shape(x), dtype=bool)
+        return total, np.isfinite(total) & (
             np.abs(c[-1]) * x ** (len(c) - 1) <= 1e-16 * np.abs(total)
         )
 
@@ -684,29 +678,34 @@ def solve_profile(
 
     # The origin series fills every node it resolves to float precision,
     # up to the first node where the last term of r or of r' exceeds 1e-16
-    # of the sum.  Both are a power of t times a series in u = t^2, with
-    # coefficients a_j and j a_j.  The test runs chunk by chunk, over t up
-    # to 4, then up to 16, 64 and so on, and stops at its first failure,
-    # which lies at t of 1 to 4 on the n 2..6 grid.  The stepper launches
-    # from the last node the series fills, node 0 at the least.
+    # of the sum.  r = u A(u) and r' = 2 t B(u) with u = t^2, where A and
+    # B have coefficients a_k and k a_k (as in series_eval, bit for bit).
+    # The test runs chunk by chunk, over t up to 4, then up to 16, 64 and
+    # so on, and stops at its first failure, which lies at t of 1 to 4 on
+    # the n 2..6 grid; each chunk's sums fill its nodes.  The stepper
+    # launches from the last node the series fills, node 0 at the least.
     a = np.array(series.coeffs)
-    da = a * np.arange(2.0, 2.0 * len(a) + 1.0, 2.0)
+    da = a * np.arange(1.0, len(a) + 1.0)
+    r_nodes = np.empty(n_seg + 1)
+    z_nodes = np.empty(n_seg + 1)
+    y_nodes = np.empty(n_seg + 1)
     first_miss, start, t_bound = n_seg + 1, 0, 4.0
     while start <= n_seg:
         stop = int(np.searchsorted(t_nodes, t_bound, side="right"))
         t_chunk = t_nodes[start:stop]
         u = t_chunk * t_chunk
-        resolved = _last_term_negligible(a, u) & _last_term_negligible(da, u)
+        r_sum, r_resolved = _series_sum(a, u)
+        y_sum, y_resolved = _series_sum(da, u)
+        with np.errstate(over="ignore"):  # past the first miss; the stepper overwrites
+            r_nodes[start:stop] = u * r_sum
+            y_nodes[start:stop] = 2.0 * t_chunk * y_sum
+        resolved = r_resolved & y_resolved
         if not resolved.all():
             first_miss = start + int(np.argmin(resolved))
             break
         start, t_bound = stop, 4.0 * t_bound
     launch = max(first_miss - 1, 0)
-    r_nodes = np.empty(n_seg + 1)
-    z_nodes = np.empty(n_seg + 1)
-    y_nodes = np.empty(n_seg + 1)
     near = slice(0, launch + 1)
-    r_nodes[near], y_nodes[near], _ = series_eval(series, t_nodes[near])
     z_nodes[near] = (n - 1.0) * g_eval(y_nodes[near], params) / t_nodes[near] - 1.0
 
     rtol = max(tol * 1e-2, 3e-14)
@@ -723,15 +722,16 @@ def solve_profile(
     m = float(n - 1)
     c = alpha * m
     rate_cap = _STIFFNESS_BUDGET / grid_spacing
-    # The far-field series at every node past the launch, once: x, where
-    # both series have converged, and the series z there (nan elsewhere).
+    # The far-field series at every node past the launch, summed once: x,
+    # the sums of U and W, where both have converged, and the series z.
     # Node k is at index k - launch - 1.
     u_far, w_far = _far_series(n, alpha)
     x_far = (m / t_nodes[launch + 1:]) ** (2.0 / alpha)
-    converged = _last_term_negligible(u_far, x_far) & _last_term_negligible(w_far, x_far)
-    z_far = np.full_like(x_far, np.nan)
-    z_far[converged] = -x_far[converged] * _polyval(x_far[converged], w_far) / c
-    converged, z_far = converged.tolist(), z_far.tolist()
+    u_sum, u_resolved = _series_sum(u_far, x_far)
+    w_sum, w_resolved = _series_sum(w_far, x_far)
+    with np.errstate(over="ignore"):  # where the sums diverge; never read there
+        z_far = -x_far * w_sum / c
+    converged, z_series = (u_resolved & w_resolved).tolist(), z_far.tolist()
     tail = n_seg + 1  # first far-series node; past the end until the handoff
     for k in range(launch + 1, n_seg + 1):
         tk = float(t_nodes[k])
@@ -749,7 +749,7 @@ def solve_profile(
         j = k - launch - 1
         if not converged[j]:
             continue
-        gap = abs(zk - z_far[j])
+        gap = abs(zk - z_series[j])
         if gap > rtol * abs(zk):
             dydz = tk / (m * _slope_map_deriv(alpha, yk))
             if not n + c * (yk * yk + 2.0 * zk * yk * dydz) > rate_cap:
@@ -763,9 +763,8 @@ def solve_profile(
                     f"atol + rtol |z| = {limit:.3g}"
                 )
         tail = k + 1
-        x = x_far[j + 1:]
-        y_nodes[tail:] = (t_nodes[tail:] / m) ** (1.0 / alpha) * _polyval(x, u_far)
-        z_nodes[tail:] = -x * _polyval(x, w_far) / c
+        y_nodes[tail:] = (t_nodes[tail:] / m) ** (1.0 / alpha) * u_sum[j + 1:]
+        z_nodes[tail:] = z_far[j + 1:]
         break
 
     ddr_nodes, dddr_nodes = _second_and_third(n, alpha, t_nodes, y_nodes, z_nodes)

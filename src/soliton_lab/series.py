@@ -76,6 +76,19 @@ def series_coefficients(params: ModelParams, order: int = _MAX_ORDER) -> OriginS
     return OriginSeries(params=params, order=order, coeffs=tuple(coeffs.tolist()))
 
 
+def _polyval(x, c):
+    """The power series with coefficients c, lowest order first, at x.
+
+    Horner's rule with the operations of numpy.polynomial.polynomial.polyval
+    in its order, so the result is bitwise the same, without importing
+    numpy.polynomial.  Every series sum in the package goes through here.
+    """
+    total = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        total = ck + total * x
+    return total
+
+
 def series_eval(series: OriginSeries, t):
     """Evaluate the truncated series and its first two derivatives.
 
@@ -92,20 +105,16 @@ def series_eval(series: OriginSeries, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("series evaluation needs t >= 0")
+    # Three series in u = t^2 with coefficients a_k, k a_k and k (k - 1) a_k,
+    # k = 1..m: r/u, dr/du and u d^2r/du^2.  The last has a zero constant
+    # term, so it is summed one power of u up.
     u = t_arr * t_arr
-    r = np.zeros_like(t_arr)
-    dr_du = np.zeros_like(t_arr)   # d(r)/d(t^2) * (series in u)
-    ddr_uu = np.zeros_like(t_arr)
-    # Horner in u = t^2 for the series and its u-derivatives.
-    for k in range(len(series.coeffs), 0, -1):
-        a = series.coeffs[k - 1]
-        r = r * u + a
-        dr_du = dr_du * u + a * k
-        if k >= 2:
-            ddr_uu = ddr_uu * u + a * k * (k - 1.0)
-    r = r * u
+    a = np.array(series.coeffs)
+    k = np.arange(1.0, len(a) + 1.0)
+    r = u * _polyval(u, a)
+    dr_du = _polyval(u, a * k)
+    ddr = 2.0 * dr_du + 4.0 * _polyval(u, a * k * (k - 1.0))
     dr = 2.0 * t_arr * dr_du
-    ddr = 2.0 * dr_du + 4.0 * u * ddr_uu
     if t_arr.ndim == 0:
         return float(r), float(dr), float(ddr)
     return r, dr, ddr

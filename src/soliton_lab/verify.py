@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, coeff_C, coefficient_set, g_eval, is_log_branch
+from .asymptotics import expected_coefficients
+from .model import ModelParams, coeff_C, g_eval, is_log_branch
 from .phase import PhaseTrajectory, phase_trajectory
 from .profile import _TOL_MIN, RadialProfile, solve_profile
 
@@ -196,11 +197,12 @@ def blow_down_deviation(profile: RadialProfile, h: float, samples: int = 513) ->
     """sup over t in [0,1] of the blow-down gap |h^{-p} r(h t) - L t^p|."""
     if h <= 0.0 or h > profile.t_max * (1.0 + 4e-16):
         raise ValueError("blow-down scale h must lie inside the solved range")
-    cs = coefficient_set(profile.params)
-    p = 2.0 if cs.log_term else 1.0 + 1.0 / profile.params.alpha
+    alpha = profile.params.alpha
+    leading, _ = expected_coefficients(profile.params)
+    p = 2.0 if is_log_branch(alpha) else 1.0 + 1.0 / alpha
     tau = np.linspace(0.0, 1.0, samples)
     rr = profile.evaluate(np.minimum(h * tau, profile.t_max))[0]
-    return float(np.abs(rr / h ** p - cs.leading * tau ** p).max())
+    return float(np.abs(rr / h ** p - leading * tau ** p).max())
 
 
 def check_blow_down(profile: RadialProfile) -> CheckReport:

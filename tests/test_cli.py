@@ -72,6 +72,21 @@ def test_solver_error_reported(capsys):
     assert captured.out == ""
 
 
+def test_phase_contract_miss_reported(capsys):
+    """A profile that breaks the phase residual contract in ``verify`` exits 2.
+
+    At tol 1e-12 the phase residual of (2, 0.5) is 3.1e-9, the truncation
+    of the difference stencil, against a contract of 1e-10: the command
+    refuses it as an error, with no document, and does not report it as a
+    failed check (exit 1).
+    """
+    code = run_cli(["verify", "--n", "2", "--alpha", "0.5", "--tol", "1e-12"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: phase residual")
+    assert captured.out == ""
+
+
 def test_verify_green_cell(capsys):
     code = run_cli(
         ["verify", "--n", "2", "--alpha", "1", "--tmax", "120", "--format", "json"]

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from soliton_lab import model as model_module
+from soliton_lab.asymptotics import expected_coefficients
 from soliton_lab.model import (
-    CoefficientSet,
     ModelParams,
     coeff_B,
     coeff_C,
-    coefficient_set,
     g_eval,
     g_invert,
     is_log_branch,
@@ -172,19 +171,23 @@ def test_coeff_C_rejects_log_branch():
     n=st.integers(min_value=2, max_value=8),
     alpha=st.floats(min_value=0.2, max_value=5.0),
 )
+@example(n=4, alpha=1.0)
 @settings(max_examples=200, deadline=None)
 def test_coefficient_set_consistency(n, alpha):
     p = ModelParams(n, alpha)
-    cs = coefficient_set(p)
-    assert isinstance(cs, CoefficientSet)
+    leading, second = expected_coefficients(p)
     if is_log_branch(alpha):
-        assert cs.log_term and cs.c_coeff is None
-        assert cs.leading == pytest.approx(0.5 / (n - 1), rel=1e-15)
+        assert coeff_B(p) == 1.0
+        with pytest.raises(ValueError):
+            coeff_C(p)
+        assert leading == pytest.approx(0.5 / (n - 1), rel=1e-15)
+        assert second == -0.5 * (n - 1.0) * (n - 4.0)
     else:
         # C = alpha B / (alpha - 1) ties the two expansions together
-        assert cs.c_coeff == pytest.approx(
-            alpha * cs.b_coeff / (alpha - 1.0), rel=1e-12
+        assert coeff_C(p) == pytest.approx(
+            alpha * coeff_B(p) / (alpha - 1.0), rel=1e-12
         )
-        assert cs.leading == pytest.approx(
+        assert second == -coeff_C(p)
+        assert leading == pytest.approx(
             alpha / (alpha + 1.0) * (n - 1.0) ** (-1.0 / alpha), rel=1e-15
         )

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import mpmath as mp
@@ -13,6 +14,7 @@ from scipy.integrate import solve_ivp
 from helpers import dop853_loop_step, mp_far_series_coeffs
 import soliton_lab
 from soliton_lab import profile as profile_module
+from soliton_lab import series as series_module
 from soliton_lab.asymptotics import asymptotic_z
 from soliton_lab.model import (
     ModelParams,
@@ -27,10 +29,15 @@ from soliton_lab.profile import (
     SolverError,
     _STIFFNESS_BUDGET,
     _far_series,
-    _last_term_negligible,
-    _polyval,
+    _series_sum,
     solve_profile,
 )
+from soliton_lab.series import _polyval, series_eval
+
+
+def _last_term_negligible(c, x):
+    """Where the last term of the series c at x is below 1e-16 of its sum."""
+    return _series_sum(c, x)[1]
 
 
 def test_deterministic(profile_of):
@@ -133,7 +140,8 @@ def test_origin_series_nodes_match_reference(monkeypatch, n, alpha):
     up to the launch of the explicit stepper.  Its atol is that of
     ``test_explicit_stretch_matches_reference``: at atol 1e-20 its first
     steps on (2, 5) miss a 50-digit evaluation of z by 1.05e-13, where the
-    series nodes are within 1.7e-16 of it.
+    series nodes are within 1.7e-16 of it.  The series nodes are also
+    ``series_eval``'s values bit for bit.
     """
     params = ModelParams(n, alpha)
     prof, t_launch = _solve_recording_launch(monkeypatch, params, 20.0)
@@ -146,6 +154,9 @@ def test_origin_series_nodes_match_reference(monkeypatch, n, alpha):
     t = prof.grid[1:]
     t = t[t <= t_launch]
     assert len(t) > 100
+    r_series, dr_series, _ = series_eval(prof.series, t)
+    assert r_series.tobytes() == prof.r[1:len(t) + 1].tobytes()
+    assert dr_series.tobytes() == prof.dr[1:len(t) + 1].tobytes()
     ref = solve_ivp(
         rhs, (t[0], t[-1]), [prof.r[1], prof.phase_z[0]], method="DOP853",
         t_eval=t, rtol=1e-13, atol=1e-15,
@@ -222,7 +233,7 @@ def test_solve_matches_loop_step_bitwise(monkeypatch, n, alpha):
 def test_import_loads_no_scipy():
     """scipy is a test dependency only; importing the package must not load it.
 
-    Nor numpy.polynomial: the series sums use the in-module ``_polyval``.
+    Nor numpy.polynomial: every series sum goes through ``series._polyval``.
     """
     src = str(Path(soliton_lab.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -252,6 +263,29 @@ def test_polyval_bitwise_equals_numpy():
         assert _polyval(x, c).tobytes() == polyval(x, c).tobytes()
         x0 = float(x[0])
         assert np.float64(_polyval(x0, c)).tobytes() == np.float64(polyval(x0, c)).tobytes()
+
+
+def test_solve_sums_each_series_once_per_node(monkeypatch):
+    """One solve sums no series twice at one node.
+
+    Every Horner pass is recorded, through the solver's ``_polyval`` and
+    through the one ``series_eval`` uses, with its coefficients and its
+    points.  The four series (r and r' at the axis, U and W in the far
+    field) must each be summed, and no (coefficients, point) pair twice.
+    """
+    passes = []
+
+    def recording(x, c):
+        passes.append((np.asarray(c).tobytes(), np.atleast_1d(x).tolist()))
+        return _polyval(x, c)
+
+    monkeypatch.setattr(profile_module, "_polyval", recording)
+    monkeypatch.setattr(series_module, "_polyval", recording)
+    solve_profile(ModelParams(3, 2.0), 200.0, 1e-10)
+    assert len({c for c, _ in passes}) == 4
+    sums = Counter((c, x) for c, points in passes for x in points)
+    twice = [x for (_, x), count in sums.items() if count > 1]
+    assert not twice, f"{len(twice)} nodes summed twice, first at x = {twice[0]:.6g}"
 
 
 def test_last_term_negligible_false_where_the_sum_overflows():
