@@ -696,9 +696,8 @@ def solve_profile(
         u = t_chunk * t_chunk
         r_sum, r_resolved = _series_sum(a, u)
         y_sum, y_resolved = _series_sum(da, u)
-        with np.errstate(over="ignore"):  # past the first miss; the stepper overwrites
-            r_nodes[start:stop] = u * r_sum
-            y_nodes[start:stop] = 2.0 * t_chunk * y_sum
+        r_nodes[start:stop] = u * r_sum
+        y_nodes[start:stop] = 2.0 * t_chunk * y_sum
         resolved = r_resolved & y_resolved
         if not resolved.all():
             first_miss = start + int(np.argmin(resolved))
