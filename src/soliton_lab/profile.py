@@ -50,8 +50,10 @@ the stability budget per grid step, the stretch hands off there only with
 z within the stepper's error scale (atol + rtol |z|) of the series, and
 raises :class:`SolverError` otherwise (on the surveyed range, n = 2 at
 alpha 0.15 and 0.2).  Every later node is one evaluation of that series,
-and the radius there is accumulated by a quintic Hermite quadrature that
-the endpoint derivative data makes exact through degree five.
+and so is its radius: each term of the slope series is a power of t and
+integrates exactly from the handoff node, where the radius is matched
+(the matched integration constant of Bender and Orszag, Advanced
+Mathematical Methods, ch. 9).
 
 Grid nodes are exact integrator step endpoints in the explicit stretch:
 the stepper is advanced node to node on a grid uniform in s = log t,
@@ -446,7 +448,7 @@ def _series_sum(c, x):
         )
 
 
-def _second_and_third(n: int, alpha: float, t, y, z):
+def _second_and_third(alpha: float, t, y, z, big_f):
     """r'' and r''' at the nodes, in the defect form of the slope ODE.
 
     With wp = (1+y^2)^((3-alpha)/2), the slope equation reads exactly
@@ -457,11 +459,13 @@ def _second_and_third(n: int, alpha: float, t, y, z):
     The naive form wp - (n-1) y (1+y^2)/t cancels catastrophically in the
     far field: for alpha < 1 both terms reach 1e16 while their difference
     stays of order t, so r'' would keep only a handful of digits and r'''
-    none at all.  Written through the defect there is no subtraction.
+    none at all.  The defect form has no such subtraction, given F: the
+    caller forms F = 1 + (n + alpha (n-1) y^2) z only up to the handoff,
+    and past it, where alpha (n-1) y^2 z -> -1 and that sum cancels, takes
+    F from the far series.
     """
     w = 1.0 + y * y
     wp = w ** ((3.0 - alpha) / 2.0)
-    big_f = 1.0 + (n + alpha * (n - 1.0) * y * y) * z
     f2 = -z * wp
     f3 = wp * (big_f / t + (3.0 - alpha) * y * z * z * wp / w)
     return f2, f3
@@ -609,11 +613,13 @@ def solve_profile(
     origin-series node.  At the first node where that series has converged
     and the integrated z agrees with the series' z to the stepper's
     relative tolerance (with no absolute floor), the integration stops:
-    every remaining node is evaluated from the series, and the radius is
-    summed over them by Hermite quadrature.  If the relaxation rate passes
-    the explicit stability budget per grid step before that, the handoff
-    comes at that node provided |z - z_series| <= atol + rtol |z|, the
-    stepper's error scale; a wider gap raises :class:`SolverError`.
+    every remaining node is evaluated from the series: the slope and z,
+    the radius as its value at the handoff plus the term-by-term integral
+    of the slope series, and r''' through the series' dz/dt.  If the
+    relaxation rate passes the explicit stability budget per grid step
+    before that, the handoff comes at that node provided
+    |z - z_series| <= atol + rtol |z|, the stepper's error scale; a wider
+    gap raises :class:`SolverError`.
 
     ``grid_spacing`` defaults to 0.01 for alpha >= 1 and 0.00325 below:
     the transition region steepens like 2/alpha in log t, and the default
@@ -762,27 +768,37 @@ def solve_profile(
                     f"atol + rtol |z| = {limit:.3g}"
                 )
         tail = k + 1
-        y_nodes[tail:] = (t_nodes[tail:] / m) ** (1.0 / alpha) * u_sum[j + 1:]
-        z_nodes[tail:] = z_far[j + 1:]
         break
 
-    ddr_nodes, dddr_nodes = _second_and_third(n, alpha, t_nodes, y_nodes, z_nodes)
-
+    big_f = np.empty(n_seg + 1)
     if tail <= n_seg:
-        # Integral over each series step of the quintic Hermite matching
-        # (y, r'', r''') at both ends; exact through degree five, and the
-        # slope there is a power of t plus corrections orders below
-        # anything kept.  Summed from the handoff node outward.
-        ends = slice(tail - 1, None)
-        ht = np.diff(t_nodes[ends])
-        y, f2, f3 = y_nodes[ends], ddr_nodes[ends], dddr_nodes[ends]
-        steps = (
-            0.5 * ht * (y[:-1] + y[1:])
-            + ht * ht * (f2[:-1] - f2[1:]) / 10.0
-            + ht * ht * ht * (f3[:-1] + f3[1:]) / 120.0
-        )
-        steps[0] += r_nodes[tail - 1]
-        r_nodes[tail:] = np.cumsum(steps)
+        # Every node past the handoff node h is the far series.  Term k of
+        # its slope, y_k = u_k (t/m)^(1/alpha) x^k, is the power t^(e_k - 1)
+        # with e_k = 1 + (1 - 2k)/alpha, so r = r(t_h) + sum_k [t y_k]/e_k
+        # taken from t_h to t: one sum over u_k/e_k, at h and past it.  The
+        # term nearest e_k = 0 (exactly 0 at odd integer alpha, where it
+        # integrates to a log) is left out of that sum and integrated as
+        # t_h y_k(t_h) expm1(e_k L)/e_k with L = log(t/t_h).  F = -t dz/dt is
+        # summed from the W series too: formed from the defect it cancels
+        # there, since c y^2 z -> -1.
+        h = tail - 1
+        x_h = x_far[h - launch - 1:]  # nodes h onward
+        powers = np.arange(len(u_far))
+        e = 1.0 + (1.0 - 2.0 * powers) / alpha
+        kr = int(np.argmin(np.abs(e)))
+        lead = (t_nodes[h:] / m) ** (1.0 / alpha)
+        y_nodes[tail:] = lead[1:] * u_sum[h - launch:]
+        z_nodes[tail:] = z_far[h - launch:]
+        t_lead = t_nodes[h:] * lead  # t y_k = t_lead u_k x^k
+        integral = t_lead * _polyval(x_h, u_far / np.where(powers == kr, np.inf, e))
+        log_t = np.log(t_nodes[tail:] / t_nodes[h])
+        factor = log_t if e[kr] == 0.0 else np.expm1(e[kr] * log_t) / e[kr]
+        resonant = t_lead[0] * u_far[kr] * x_h[0] ** kr * factor
+        r_nodes[tail:] = r_nodes[h] + (integral[1:] - integral[0]) + resonant
+        big_f[tail:] = -2.0 * x_h[1:] / (alpha * c) * _polyval(x_h[1:], w_far * (powers + 1.0))
+    y, z = y_nodes[:tail], z_nodes[:tail]
+    big_f[:tail] = 1.0 + (n + c * y * y) * z
+    ddr_nodes, dddr_nodes = _second_and_third(alpha, t_nodes, y_nodes, z_nodes, big_f)
 
     grid = np.concatenate(([0.0], t_nodes))
     r = np.concatenate(([0.0], r_nodes))

@@ -82,10 +82,12 @@ def _polyval(x, c):
     Horner's rule with the operations of numpy.polynomial.polynomial.polyval
     in its order, so the result is bitwise the same, without importing
     numpy.polynomial.  Every series sum in the package goes through here.
+    The sum is formed in place, in a fresh array that no caller holds.
     """
     total = c[-1] + x * 0
     for ck in c[-2::-1]:
-        total = ck + total * x
+        total *= x
+        total += ck
     return total
 
 

@@ -33,6 +33,7 @@ from soliton_lab.profile import (
     solve_profile,
 )
 from soliton_lab.series import _polyval, series_eval
+from soliton_lab.verify import check_pde_residual, sample_ball
 
 
 def _last_term_negligible(c, x):
@@ -270,8 +271,9 @@ def test_solve_sums_each_series_once_per_node(monkeypatch):
 
     Every Horner pass is recorded, through the solver's ``_polyval`` and
     through the one ``series_eval`` uses, with its coefficients and its
-    points.  The four series (r and r' at the axis, U and W in the far
-    field) must each be summed, and no (coefficients, point) pair twice.
+    points.  The six series (r and r' at the axis; U, W, the integral of
+    the slope and F in the far field) must each be summed, and no
+    (coefficients, point) pair twice.
     """
     passes = []
 
@@ -282,7 +284,7 @@ def test_solve_sums_each_series_once_per_node(monkeypatch):
     monkeypatch.setattr(profile_module, "_polyval", recording)
     monkeypatch.setattr(series_module, "_polyval", recording)
     solve_profile(ModelParams(3, 2.0), 200.0, 1e-10)
-    assert len({c for c, _ in passes}) == 4
+    assert len({c for c, _ in passes}) == 6
     sums = Counter((c, x) for c, points in passes for x in points)
     twice = [x for (_, x), count in sums.items() if count > 1]
     assert not twice, f"{len(twice)} nodes summed twice, first at x = {twice[0]:.6g}"
@@ -322,16 +324,14 @@ def _solve_recording_handoff(monkeypatch, params, t_max=200.0, tol=1e-10):
     return prof, np.array(targets)
 
 
-@pytest.mark.parametrize("n, alpha", [(2, 1.0), (2, 2.0), (5, 2.0)])
-def test_series_stretch_matches_radau(monkeypatch, n, alpha):
-    """Past the handoff the far-field series is the integrated trajectory.
+def _radau_past_handoff(monkeypatch, n, alpha, t_max):
+    """The profile, its handoff node k and scipy's Radau from there to t_max.
 
-    From the last explicit node, scipy's Radau integrates (r, z) at tight
-    tolerance with the slope recovered by inversion, and the series nodes
-    must carry the same defect z and radius r.
+    Radau integrates (r, z) at tight tolerance with the slope recovered by
+    inversion, from the last explicit node, at every series node.
     """
     params = ModelParams(n, alpha)
-    prof, explicit = _solve_recording_handoff(monkeypatch, params)
+    prof, explicit = _solve_recording_handoff(monkeypatch, params, t_max)
     m = n - 1.0
     t = prof.grid[1:]
     (k,) = np.flatnonzero(t == explicit[-1])
@@ -341,13 +341,64 @@ def test_series_stretch_matches_radau(monkeypatch, n, alpha):
         y = g_invert((1.0 + u[1]) * t / m, params)
         return [y, -(1.0 + n * u[1] + alpha * m * u[1] * y * y) / t]
 
+    def jac(t, u):
+        y = g_invert((1.0 + u[1]) * t / m, params)
+        dydz = t / (m * _slope_map_deriv(alpha, y))
+        c = alpha * m
+        return [[0.0, dydz], [0.0, -(n + c * y * y + 2.0 * c * u[1] * y * dydz) / t]]
+
     ref = solve_ivp(
         rhs, (t[k], t[-1]), [prof.r[k + 1], prof.phase_z[k]], method="Radau",
-        t_eval=t[k + 1:], rtol=1e-13, atol=1e-20,
+        t_eval=t[k + 1:], rtol=1e-13, atol=1e-20, jac=jac,
     )
     assert ref.success
+    return prof, k, ref
+
+
+# Odd integer alpha puts a term of the radius integral at e_k = 0, where it
+# is a log: k = 1 at alpha 1, k = 2 at alpha 3.  Just off 3 it is the
+# expm1 form with e_k of about 3e-10.
+@pytest.mark.parametrize(
+    "n, alpha",
+    [(2, 1.0), (2, 2.0), (5, 2.0), (3, 3.0), (3, 3.0 + 1e-9), (3, 3.0 - 1e-9)],
+)
+def test_series_stretch_matches_radau(monkeypatch, n, alpha):
+    """Past the handoff the far-field series is the integrated trajectory:
+    the series nodes carry Radau's defect z and radius r."""
+    prof, k, ref = _radau_past_handoff(monkeypatch, n, alpha, 200.0)
     np.testing.assert_allclose(prof.phase_z[k + 1:], ref.y[1], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(prof.r[k + 2:], ref.y[0], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n, alpha, t_max", [(10, 0.15, 200.0), (7, 0.2, 200.0), (2, 0.5, 2000.0)])
+def test_far_radius_matches_radau_below_alpha_one(monkeypatch, n, alpha, t_max):
+    """r past the handoff is the slope series integrated term by term.
+
+    Here the slope grows like t^(1/alpha), with 1/alpha up to 6.7, faster
+    than a quadrature between nodes resolves.  Only r is compared:
+    Radau's atol of 1e-20 cannot resolve |z| ~ t^(-2/alpha) this far out.
+    """
+    prof, k, ref = _radau_past_handoff(monkeypatch, n, alpha, t_max)
+    np.testing.assert_allclose(prof.r[k + 2:], ref.y[0], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n, alpha, t_max", [(10, 0.05, 200.0), (15, 0.01, 50.0)])
+def test_tiny_alpha_radius_follows_the_leading_term(n, alpha, t_max):
+    """r grows like alpha/(alpha+1) (n-1)^(-1/alpha) t^(1+1/alpha), and at
+    these alphas every other term is below 1e-12 of it by t_max."""
+    prof = solve_profile(ModelParams(n, alpha), t_max, 1e-10)
+    assert np.all(np.diff(prof.r) > 0)
+    leading = alpha / (alpha + 1.0) * (n - 1.0) ** (-1.0 / alpha) * t_max ** (1.0 + 1.0 / alpha)
+    assert prof.r[-1] == pytest.approx(leading, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, alpha", [(10, 0.15), (7, 0.2)])
+def test_pde_residual_below_alpha_one(n, alpha):
+    """The battery's PDE residual check, with its points, within 100 tol."""
+    prof = solve_profile(ModelParams(n, alpha), 200.0, 1e-10)
+    points = sample_ball(np.random.default_rng(0), 1000, n, prof.t_max / 2.0)
+    report = check_pde_residual(prof, points)
+    assert report.metric <= 100.0 * prof.tol, report
 
 
 def _far_oracle_scaled(n, alpha, order):
