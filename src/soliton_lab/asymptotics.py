@@ -10,8 +10,9 @@ logarithmic branch alpha = 1,
     r(t) = t^2/(2(n-1)) - log t + C1 - (n-1)(n-4)/2 t^(-2) + o(t^(-2)),
 
 where C1 is an integration constant pinned here by the normalization
-r(0) = 0.  Matching expansions for the phase variables y(s) and z(s) are
-evaluated by the ``asymptotic_y`` / ``asymptotic_z`` pair.
+r(0) = 0; ``_powers`` is the one place that states these powers of t.
+Matching expansions for the phase variables y(s) and z(s) are evaluated
+by the ``asymptotic_y`` / ``asymptotic_z`` pair.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, coeff_B, coeff_C, is_log_branch
+from .model import ModelParams, coeff_C, is_log_branch
 from .profile import RadialProfile
 
 __all__ = [
@@ -43,16 +44,15 @@ def asymptotic_eval(params: ModelParams, C1: float | None, t):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("far-field expansion needs t > 0")
-    alpha = params.alpha
     leading, second = expected_coefficients(params)
-    if is_log_branch(alpha):
+    p, q = _powers(params.alpha)
+    out = leading * t ** p + second * t ** q
+    if is_log_branch(params.alpha):
         if C1 is None:
             raise ValueError("alpha = 1 expansion needs the constant C1")
-        out = leading * (t * t) - np.log(t) + C1 + second / (t * t)
-    else:
-        if C1 is not None:
-            raise ValueError("C1 is defined only on the alpha = 1 branch")
-        out = leading * t ** (1.0 + 1.0 / alpha) + second * t ** (1.0 - 1.0 / alpha)
+        out = out + C1 - np.log(t)
+    elif C1 is not None:
+        raise ValueError("C1 is defined only on the alpha = 1 branch")
     if out.ndim == 0:
         return float(out)
     return out
@@ -61,21 +61,16 @@ def asymptotic_eval(params: ModelParams, C1: float | None, t):
 def asymptotic_y(params: ModelParams, s):
     """Far-field expansion of the slope y at s = log t.
 
+    This is d/dt of :func:`asymptotic_eval`, term by term:
     alpha = 1: e^s/(n-1) - e^{-s} + (n-1)(n-4) e^{-3s}  (three terms);
     otherwise e^{s/alpha} ((n-1)^(-1/alpha) - B e^{-2s/alpha})  (two terms).
     """
-    s = np.asarray(s, dtype=float)
-    n, alpha = params.n, params.alpha
-    if is_log_branch(alpha):
-        out = (
-            np.exp(s) / (n - 1.0)
-            - np.exp(-s)
-            + (n - 1.0) * (n - 4.0) * np.exp(-3.0 * s)
-        )
-    else:
-        out = np.exp(s / alpha) * (
-            (n - 1.0) ** (-1.0 / alpha) - coeff_B(params) * np.exp(-2.0 * s / alpha)
-        )
+    t = np.exp(np.asarray(s, dtype=float))
+    leading, second = expected_coefficients(params)
+    p, q = _powers(params.alpha)
+    out = leading * p * t ** (p - 1.0) + second * q * t ** (q - 1.0)
+    if is_log_branch(params.alpha):
+        out = out - 1.0 / t
     if out.ndim == 0:
         return float(out)
     return out
@@ -108,6 +103,13 @@ def expected_coefficients(params: ModelParams) -> tuple[float, float]:
     if is_log_branch(a):
         return 1.0 / (2.0 * (n - 1.0)), -0.5 * (n - 1.0) * (n - 4.0)
     return a / (a + 1.0) * (n - 1.0) ** (-1.0 / a), -coeff_C(params)
+
+
+def _powers(alpha: float) -> tuple[float, float]:
+    """Powers of t that the (leading, second) coefficients multiply in r(t)."""
+    if is_log_branch(alpha):
+        return 2.0, -2.0
+    return 1.0 + 1.0 / alpha, 1.0 - 1.0 / alpha
 
 
 @dataclass(eq=False)
@@ -144,7 +146,7 @@ def _gram_cond(gram: np.ndarray) -> float:
     return big * big / det
 
 
-def _scaled_lstsq(columns: list[np.ndarray], target: np.ndarray) -> tuple[np.ndarray, float]:
+def _scaled_lstsq(columns: list[np.ndarray], target: np.ndarray) -> tuple[list[float], float]:
     """Normal-equations solve on two max-norm scaled columns; returns (coefs, rms)."""
     a = np.column_stack(columns)
     scale = np.abs(a).max(axis=0)
@@ -159,7 +161,7 @@ def _scaled_lstsq(columns: list[np.ndarray], target: np.ndarray) -> tuple[np.nda
         )
     coefs = np.linalg.solve(gram, a_s.T @ target) / scale
     resid = target - a @ coefs
-    return coefs, float(np.sqrt(np.mean(resid * resid)))
+    return coefs.tolist(), float(np.sqrt(np.mean(resid * resid)))
 
 
 def fit_far_field(
@@ -190,28 +192,22 @@ def fit_far_field(
 
     params = profile.params
     n, alpha = params.n, params.alpha
+    p, q = _powers(alpha)
     if is_log_branch(alpha):
         # t^2/(2(n-1)) and not leading * t^2: the product rounds differently
         # at n = 4 and 6, and the fitted coefficients would move in their
         # last digits.
         known = t * t / (2.0 * (n - 1.0)) - np.log(t)
-        coefs, rms = _scaled_lstsq([np.ones_like(t), t ** -2.0], r - known)
-        return FarFieldFit(
-            params=params,
-            window=(t_lo, t_hi),
-            fitted_leading=expected_coefficients(params)[0],
-            fitted_second=float(coefs[1]),
-            fitted_C1=float(coefs[0]),
-            residual_norm=rms,
-        )
-    coefs, rms = _scaled_lstsq(
-        [t ** (1.0 + 1.0 / alpha), t ** (1.0 - 1.0 / alpha)], r
-    )
+        (c1, second), rms = _scaled_lstsq([np.ones_like(t), t ** q], r - known)
+        leading = expected_coefficients(params)[0]
+    else:
+        (leading, second), rms = _scaled_lstsq([t ** p, t ** q], r)
+        c1 = None
     return FarFieldFit(
         params=params,
         window=(t_lo, t_hi),
-        fitted_leading=float(coefs[0]),
-        fitted_second=float(coefs[1]),
-        fitted_C1=None,
+        fitted_leading=leading,
+        fitted_second=second,
+        fitted_C1=c1,
         residual_norm=rms,
     )

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .asymptotics import expected_coefficients
+from .asymptotics import _powers, expected_coefficients
 from .model import ModelParams, coeff_C, g_eval, is_log_branch
 from .phase import PhaseTrajectory, phase_trajectory
 from .profile import _TOL_MIN, RadialProfile, solve_profile
@@ -197,9 +197,8 @@ def blow_down_deviation(profile: RadialProfile, h: float, samples: int = 513) ->
     """sup over t in [0,1] of the blow-down gap |h^{-p} r(h t) - L t^p|."""
     if h <= 0.0 or h > profile.t_max * (1.0 + 4e-16):
         raise ValueError("blow-down scale h must lie inside the solved range")
-    alpha = profile.params.alpha
     leading, _ = expected_coefficients(profile.params)
-    p = 2.0 if is_log_branch(alpha) else 1.0 + 1.0 / alpha
+    p, _ = _powers(profile.params.alpha)
     tau = np.linspace(0.0, 1.0, samples)
     rr = profile.evaluate(np.minimum(h * tau, profile.t_max))[0]
     return float(np.abs(rr / h ** p - leading * tau ** p).max())
@@ -248,7 +247,7 @@ def check_growth(profile: RadialProfile) -> CheckReport:
     r_half = float(profile.evaluate(t_max / 2.0)[0])
     r_end = float(profile.r[-1])
     exponent = (math.log(r_end) - math.log(r_half)) / math.log(2.0)
-    expected = 1.0 + 1.0 / profile.params.alpha
+    expected, _ = _powers(profile.params.alpha)
     metric = abs(exponent - expected) / expected
     if not (increasing and super_linear):
         metric = math.inf

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,41 @@ def test_expansion_matches_profile_pointwise(profile_of):
     r_far = float(prof.evaluate(200.0)[0])
     asym = asymptotic_eval(prof.params, -0.6523165035936941, 200.0)
     assert abs(r_far - asym) < 1e-6
+
+
+NEAR_ONE = (1.0 + 1e-13, 1.0 - 1e-13)
+
+
+@pytest.mark.parametrize(
+    "n, alpha, c1",
+    [(3, 2.0, None), (2, 0.5, None), (5, 3.0, None), (2, 1.0, 0.3), (4, 1.0, -0.7)]
+    + [(3, a, 0.1) for a in NEAR_ONE],
+)
+def test_fit_recovers_expansion(n, alpha, c1, profile_of):
+    """The fit returns the coefficients of an r that is the expansion itself.
+
+    On the window the profile's r is replaced by ``asymptotic_eval``; the
+    fit then recovers ``expected_coefficients`` (and C1) to rounding,
+    which holds only if the fit and the expansion carry the same powers.
+    Alpha within ``ALPHA_ONE_THRESHOLD`` of 1 takes the log branch in both.
+    """
+    prof = profile_of(n, alpha)
+    window = (100.0, 200.0)
+    mask = (prof.grid >= window[0]) & (prof.grid <= window[1])
+    r = prof.r.copy()
+    r[mask] = asymptotic_eval(prof.params, c1, prof.grid[mask])
+    fit = fit_far_field(dataclasses.replace(prof, r=r), window=window)
+    lead, second = expected_coefficients(prof.params)
+    assert abs(fit.fitted_leading - lead) <= 1e-12 * abs(lead)
+    assert abs(fit.fitted_second - second) <= 1e-6 * max(1.0, abs(second))
+    if c1 is None:
+        assert fit.fitted_C1 is None
+    else:
+        assert fit.fitted_C1 is not None
+        assert abs(fit.fitted_C1 - c1) <= 1e-10
+    if alpha in NEAR_ONE:
+        with pytest.raises(ValueError):
+            asymptotic_eval(prof.params, None, 150.0)
 
 
 def test_fit_window_validation(profile_of):
