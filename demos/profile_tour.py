@@ -17,7 +17,7 @@ params = ModelParams(n=3, alpha=2.0)
 profile = solve_profile(params, t_max=100.0, tol=1e-10)
 
 print(f"profile for n={params.n}, alpha={params.alpha}")
-print(f"grid: {len(profile.grid)} nodes, switch radius {profile.switch_radius:g}")
+print(f"grid: {len(profile.grid)} nodes, first node {profile.grid[1]:g}")
 print()
 
 print(f"{'t':>10} {'r':>16} {'dr':>16} {'ddr':>12}")

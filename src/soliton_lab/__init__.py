@@ -27,7 +27,6 @@ from .model import (
     g_eval,
     g_invert,
     is_log_branch,
-    validate_params,
 )
 from .output import emit_report, parse_report, profile_document, scan_document
 from .phase import PhaseTrajectory, phase_trajectory, slope_ode_residual, z_ode_residual
@@ -96,7 +95,6 @@ __all__ = [
     "series_eval",
     "slope_ode_residual",
     "solve_profile",
-    "validate_params",
     "z_ode_residual",
     "__version__",
 ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, coeff_C, is_log_branch
-from .profile import RadialProfile
+from .profile import _T_MAX_SLACK, RadialProfile
 
 __all__ = [
     "FarFieldFit",
@@ -179,7 +179,7 @@ def fit_far_field(
     if window is None:
         window = (t_max / 2.0, t_max)
     t_lo, t_hi = float(window[0]), float(window[1])
-    if not (0.0 < t_lo < t_hi <= t_max * (1.0 + 4e-16)):
+    if not (0.0 < t_lo < t_hi <= t_max * _T_MAX_SLACK):
         raise ValueError(f"fit window must satisfy 0 < t_lo < t_hi <= {t_max:g}")
     if t_lo < t_hi / 3.0:
         raise ValueError("fit window too deep: need t_lo >= t_hi/3")

@@ -15,7 +15,7 @@ import functools
 import sys
 
 from .asymptotics import fit_far_field
-from .model import validate_params
+from .model import ModelParams
 from .output import _fit_record, emit_report, profile_document, scan_document, table_document
 from .profile import SolverError, solve_profile
 from .verify import default_scan_geometry, run_battery, scan_gradient_bound
@@ -64,7 +64,7 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _table_cell(n: int, alpha: float, t_max: float, tol: float) -> dict:
-    profile = solve_profile(validate_params(n, alpha), t_max, tol)
+    profile = solve_profile(ModelParams(n, alpha), t_max, tol)
     record = _fit_record(fit_far_field(profile))
     del record["window"]
     return {"n": n, "alpha": alpha, **record}
@@ -80,7 +80,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         _write(table_document(rows, args.format), args.out)
         return 0
 
-    params = validate_params(args.n, args.alpha)
+    params = ModelParams(args.n, args.alpha)
     if args.command == "solve":
         profile = solve_profile(params, args.tmax, args.tol)
         _write(profile_document(profile, args.format), args.out)

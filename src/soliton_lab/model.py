@@ -24,13 +24,16 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "validate_params",
     "g_eval",
     "g_invert",
     "coeff_B",
     "coeff_C",
     "is_log_branch",
 ]
+
+# Largest log of a slope y ~ v^(1/alpha) that the package represents:
+# float64 overflows at exp(709.78), and the margin covers the prefactors.
+_LOG_SLOPE_MAX = 700.0
 
 #: Below this distance from alpha = 1 the power-law correction coefficient
 #: C blows up like 1/(alpha - 1) and the logarithmic branch is used instead.
@@ -74,18 +77,6 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "n", _check_dimension(self.n))
         object.__setattr__(self, "alpha", _check_exponent(self.alpha))
-
-
-def validate_params(n, alpha) -> ModelParams:
-    """Validate raw inputs and build a :class:`ModelParams`.
-
-    Raises
-    ------
-    ValueError
-        If ``n`` is not an integer >= 2 or ``alpha`` is not finite and
-        positive.
-    """
-    return ModelParams(n, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +145,7 @@ def _invert_slope(alpha: float, v: float, seed: float | None = None) -> float:
     if seed is None or seed <= 0.0 or not math.isfinite(seed):
         # g(y) ~ y for small y and ~ y^alpha for large y, so v and
         # v^(1/alpha) enclose the root from the same side.
-        if v > 1.0 and math.log(v) / alpha > 700.0:
+        if v > 1.0 and math.log(v) / alpha > _LOG_SLOPE_MAX:
             raise ValueError(
                 f"slope map inversion overflows: g(y) = {v:g} needs y ~ v^(1/alpha) "
                 f"beyond float range for alpha = {alpha:g}"

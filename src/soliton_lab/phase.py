@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, g_eval, is_log_branch
-from .profile import RadialProfile, SolverError
+from .profile import _CONTRACT, _SPACING_MAX, RadialProfile, SolverError
 
 __all__ = [
     "PhaseTrajectory",
@@ -31,10 +31,6 @@ __all__ = [
     "z_ode_residual",
     "slope_ode_residual",
 ]
-
-#: Widest log-t sample gap the sixth-order difference stencil tolerates
-#: before its truncation error pollutes the residual contracts.
-_MAX_STEP = 2e-2
 
 
 @dataclass(eq=False)
@@ -88,10 +84,10 @@ def phase_trajectory(profile: RadialProfile) -> PhaseTrajectory:
     s = np.log(t)
     gaps = np.diff(s)
     h = (s[-1] - s[0]) / (len(s) - 1)
-    if gaps.max() > _MAX_STEP:
+    if gaps.max() > _SPACING_MAX:
         raise ValueError(
             f"profile too coarse for finite differences: log-t gap {gaps.max():.3g} "
-            f"exceeds {_MAX_STEP:g}"
+            f"exceeds {_SPACING_MAX:g}"
         )
     if np.abs(gaps - h).max() > 1e-8 * max(1.0, abs(h)):
         raise ValueError("phase trajectory needs a grid uniform in log t")
@@ -106,10 +102,10 @@ def phase_trajectory(profile: RadialProfile) -> PhaseTrajectory:
 
     traj = PhaseTrajectory(params=params, s=s, y=y, z=z, w=w, tol=profile.tol)
     worst = float(np.abs(z_ode_residual(traj)).max())
-    if worst > 100.0 * profile.tol:
+    if worst > _CONTRACT * profile.tol:
         raise SolverError(
             f"phase residual {worst:.3e} exceeds the accuracy contract "
-            f"{100.0 * profile.tol:.3e}"
+            f"{_CONTRACT * profile.tol:.3e}"
         )
     return traj
 

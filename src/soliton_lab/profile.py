@@ -70,6 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
+    _LOG_SLOPE_MAX,
     ModelParams,
     g_eval,
     _invert_slope,
@@ -81,9 +82,24 @@ __all__ = ["RadialProfile", "SolverError", "solve_profile"]
 
 _TOL_MIN, _TOL_MAX = 1e-13, 1e-6
 
+# The accuracy contract: a profile solved at tol keeps its phase residual,
+# PDE residual and gap to a finer solve within _CONTRACT * tol.  That
+# leaves room for the error the stepper accumulates over the whole lattice
+# and for the stencils and interpolants the checks measure through.
+_CONTRACT = 100.0
+
 # Largest accepted outer radius: a cap against overflow, since the slope
 # grows like t^(1/alpha).
 _T_MAX_CAP = 1e4
+
+# Points up to this factor past t_max count as t_max: a norm or a product
+# that should give t_max exactly can round an ulp or two above it.
+_T_MAX_SLACK = 1.0 + 4e-16
+
+# Accepted log-t spacing of the node lattice.  The ceiling is the widest
+# gap the sixth-order difference stencil of the phase check tolerates
+# before its truncation error pollutes the residual contract.
+_SPACING_MIN, _SPACING_MAX = 1e-4, 2e-2
 
 # Relaxation rate (per unit log t) times grid spacing at which the explicit
 # stretch hands off, or raises if z is off the far-field series by more
@@ -507,8 +523,8 @@ class RadialProfile:
     """Sampled radial profile r(t) with first and second derivatives.
 
     ``grid`` starts at t = 0 (where r = dr = 0 and ddr = 1/n) and is
-    uniform in log t from the series switch radius outward.  Arrays are
-    owned by the profile and must not be mutated.
+    uniform in log t from its first lattice node ``grid[1]`` outward.
+    Arrays are owned by the profile and must not be mutated.
     """
 
     params: ModelParams
@@ -517,7 +533,6 @@ class RadialProfile:
     dr: np.ndarray
     ddr: np.ndarray
     tol: float
-    switch_radius: float
     series: OriginSeries
     phase_z: np.ndarray = field(repr=False)
     dddr: np.ndarray = field(repr=False)
@@ -529,7 +544,7 @@ class RadialProfile:
     def evaluate(self, t):
         """Interpolate (r, dr, ddr) anywhere in [0, t_max].
 
-        Below the switch radius the origin series is evaluated directly;
+        Below ``grid[1]`` the origin series is evaluated directly;
         elsewhere piecewise quintic Hermite interpolation (cubic for ddr)
         built from the stored derivative data is used.  Accepts scalars or
         arrays.
@@ -539,7 +554,7 @@ class RadialProfile:
         t_flat = np.atleast_1d(t_arr).astype(float)
         if not np.all(np.isfinite(t_flat)):
             raise ValueError("evaluation points must be finite")
-        upper = self.t_max * (1.0 + 4e-16)
+        upper = self.t_max * _T_MAX_SLACK
         if np.any(t_flat < 0.0) or np.any(t_flat > upper):
             raise ValueError(
                 f"evaluation points must lie in [0, {self.t_max:g}]"
@@ -550,7 +565,7 @@ class RadialProfile:
         dr_out = np.empty_like(t_flat)
         ddr_out = np.empty_like(t_flat)
 
-        near = t_flat < self.switch_radius
+        near = t_flat < self.grid[1]
         if near.any():
             rs, ds, cs = series_eval(self.series, t_flat[near])
             r_out[near] = rs
@@ -635,9 +650,11 @@ def solve_profile(
     t_max : float
         Outer radius, switch_radius < t_max <= 1e4.
     tol : float
-        Accuracy target in [1e-13, 1e-6]; the internal relative tolerance
-        is set two orders tighter (floored near machine precision), with
-        a fixed absolute floor on the defect channel.
+        Accuracy target in [1e-13, 1e-6].  The stepper's relative
+        tolerance is tol/100 floored at 3e-14, with a fixed absolute floor
+        on the defect channel.  Below tol 3e-12 that floor binds: the
+        nodes no longer depend on tol, and only the contract (100 tol) and
+        the margin of the bounds check tighten.
     switch_radius, grid_spacing
         The first node of the lattice and its spacing in log t; see
         above for the default spacing and the residual it leaves.
@@ -667,11 +684,11 @@ def solve_profile(
     n, alpha = params.n, params.alpha
     if grid_spacing is None:
         grid_spacing = 1e-2 if alpha >= 1.0 else 3.25e-3
-    if not (1e-4 <= grid_spacing <= 2e-2):
-        raise ValueError("grid spacing must lie in [1e-4, 0.02] (log-t units)")
+    if not (_SPACING_MIN <= grid_spacing <= _SPACING_MAX):
+        raise ValueError(f"grid spacing must lie in [{_SPACING_MIN:g}, {_SPACING_MAX:g}] (log t)")
     # Slope grows like (t/(n-1))^(1/alpha); refuse up front if that cannot
     # be represented, rather than dying mid-integration.
-    if t_max > 1.0 and math.log(t_max) / alpha > 700.0:
+    if t_max > 1.0 and math.log(t_max) / alpha > _LOG_SLOPE_MAX:
         raise SolverError(
             f"predicted slope t^(1/alpha) overflows float64 at t_max = {t_max:g} "
             f"for alpha = {alpha:g}; lower t_max"
@@ -815,7 +832,6 @@ def solve_profile(
         dr=dr,
         ddr=ddr,
         tol=tol,
-        switch_radius=t0,
         series=series,
         phase_z=z_nodes,
         dddr=dddr_nodes,

@@ -284,7 +284,7 @@ def test_criterion_11_origin_data(battery, say):
         assert prof.r[0] == 0.0
         assert prof.dr[0] == 0.0
         assert abs(prof.ddr[0] - 1.0 / n) <= 1e-9
-        sc = prof.switch_radius
+        sc = prof.grid[1]
         mask = (prof.grid > sc * (1.0 + 1e-12)) & (prof.grid <= 10.0 * sc)
         tt = prof.grid[mask]
         rr = prof.r[mask]

@@ -13,7 +13,6 @@ from soliton_lab.model import (
     g_eval,
     g_invert,
     is_log_branch,
-    validate_params,
     _invert_slope,
     _slope_map,
 )
@@ -22,7 +21,7 @@ from soliton_lab.model import (
 def test_validate_params_accepts_grid():
     for n in range(2, 7):
         for alpha in (0.5, 1.0, 2.0, 3.0):
-            p = validate_params(n, alpha)
+            p = ModelParams(n, alpha)
             assert p == ModelParams(n, alpha)
 
 
@@ -44,7 +43,7 @@ def test_validate_params_accepts_grid():
 )
 def test_validate_params_rejects(n, alpha):
     with pytest.raises(ValueError):
-        validate_params(n, alpha)
+        ModelParams(n, alpha)
 
 
 def test_params_frozen():

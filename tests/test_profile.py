@@ -68,6 +68,19 @@ def test_validation_errors():
         solve_profile("params", 100.0, 1e-10)
 
 
+@pytest.mark.parametrize(
+    "n, alpha, tol_a, tol_b", [(3, 2.0, 1e-12, 1e-13), (2, 0.5, 3e-12, 1e-13)]
+)
+def test_nodes_stop_changing_at_the_rtol_floor(n, alpha, tol_a, tol_b):
+    """The stepper's rtol is max(tol/100, 3e-14): below tol 3e-12 it is floored."""
+    a = solve_profile(ModelParams(n, alpha), 200.0, tol_a)
+    b = solve_profile(ModelParams(n, alpha), 200.0, tol_b)
+    for name in ("grid", "r", "dr", "ddr", "dddr", "phase_z"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    above = solve_profile(ModelParams(n, alpha), 200.0, 4e-12)  # rtol 4e-14
+    assert not np.array_equal(a.r, above.r)
+
+
 def test_overflow_guard():
     # slope ~ t^(1/alpha) leaves float range long before t_max for tiny alpha
     with pytest.raises(SolverError):

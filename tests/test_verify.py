@@ -125,6 +125,22 @@ def test_blow_down_deviation_decreases(profile_of):
         blow_down_deviation(prof, 300.0)
 
 
+def test_range_gate_edge(profile_of):
+    """One ulp past t_max counts as t_max everywhere; 1e-15 past it is out."""
+    prof = profile_of(2, 1.0)
+    edge = math.nextafter(prof.t_max, math.inf)
+    assert prof.evaluate(edge) == prof.evaluate(prof.t_max)
+    assert check_pde_residual(prof, np.array([[edge, 0.0]])).passed
+    assert math.isfinite(blow_down_deviation(prof, edge))
+    past = prof.t_max * (1.0 + 1e-15)
+    with pytest.raises(ValueError):
+        prof.evaluate(past)
+    with pytest.raises(ValueError):
+        check_pde_residual(prof, np.array([[past, 0.0]]))
+    with pytest.raises(ValueError):
+        blow_down_deviation(prof, past)
+
+
 def test_check_blow_down(profile_of):
     rep = check_blow_down(profile_of(2, 1.0))
     assert rep.name == "blow-down"
@@ -214,7 +230,7 @@ def test_run_battery_solves_once(profile_of, monkeypatch):
     monkeypatch.setattr(verify_module, "solve_profile", recording)
     profile = profile_of(3, 2.0)
     reports = run_battery(profile)
-    assert solves == [{"switch_radius": profile.switch_radius / 2.0}]
+    assert solves == [{"switch_radius": profile.grid[1] / 2.0}]
     assert reports[-1].name == "refinement" and reports[-1].passed
 
 
