@@ -28,7 +28,7 @@ Regimes.  The profile is analytic at the axis, and its even Taylor
 series (:mod:`soliton_lab.series`) converges out to |t| of about n, where
 r'^2 = -1.  Every node up to a radius t_s is one evaluation of that
 series, where t_s is the last node at which its last term is negligible;
-on the n 2..6 x alpha {0.5, 1, 2, 3} grid t_s lies between 1 and 4.
+on the n 2..6 x alpha {0.5, 1, 2, 3} grid t_s lies between 1.6 and 5.9.
 Beyond it the system is still mild (linearization about -n per unit log
 t) and an explicit embedded Runge-Kutta method (DOP853, stepped here on
 Python scalars with the standard error norm and step-size controller) is
@@ -707,9 +707,10 @@ def solve_profile(
     # of the sum.  r = u A(u) and r' = 2 t B(u) with u = t^2, where A and
     # B have coefficients a_k and k a_k (as in series_eval, bit for bit).
     # The test runs chunk by chunk, over t up to 4, then up to 16, 64 and
-    # so on, and stops at its first failure, which lies at t of 1 to 4 on
-    # the n 2..6 grid; each chunk's sums fill its nodes.  The stepper
-    # launches from the last node the series fills, node 0 at the least.
+    # so on, and stops at its first failure, which lies at t of 1.6 to 5.9
+    # on the n 2..6 grid, so a quarter of its cells sum a second chunk; each
+    # chunk's sums fill its nodes.  The stepper launches from the last node
+    # the series fills, node 0 at the least.
     a = np.array(series.coeffs)
     da = a * np.arange(1.0, len(a) + 1.0)
     r_nodes = np.empty(n_seg + 1)

@@ -5,7 +5,8 @@ The mpmath series oracle recomputes the origin expansion independently at
 measurements (the residual of the degree-8 truncation is ~1e-24 at
 t = 1e-3, far beneath double precision).  The DOP853 oracle is the loop
 form of one step, driven by scipy's tables, and the origin-series oracle
-the loop form of ``series_eval``.
+the loop form of ``series_eval``.  ``solve_recording_launch`` reports
+where a solve hands over from the origin series to the explicit stepper.
 """
 
 import functools
@@ -14,16 +15,50 @@ import math
 import mpmath as mp
 import numpy as np
 
+from soliton_lab import profile as profile_module
+
 
 def mp_series_coeffs(n, alpha, order, dps=50):
-    """Origin series coefficients (a_2, a_4, ..., a_order) at high precision."""
+    """Origin series coefficients (a_2, a_4, ..., a_order) at high precision.
+
+    O(order^3): 1 to 2 s at degree 80, so each result is kept for the
+    session and shared by the tests that ask for the same cell.
+    """
+    return _mp_series_coeffs(n, float(alpha), order, dps)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_series_coeffs(n, alpha, order, dps):
     with mp.workdps(dps):
         coeffs = {2: mp.mpf(1) / (2 * n)}
         for k in range(2, order // 2 + 1):
             m = 2 * k - 2
             res = mp_series_residual_poly(n, alpha, coeffs, m)
             coeffs[2 * k] = -res[m] / ((2 * k) * (2 * k + n - 2))
-        return [coeffs[2 * j] for j in range(1, order // 2 + 1)]
+        return tuple(coeffs[2 * j] for j in range(1, order // 2 + 1))
+
+
+def mp_series_nodes(n, alpha, order, t, dps=50):
+    """r, r' and z = (n - 1) g(r')/t - 1 of the origin series at the points t.
+
+    Each is summed from ``mp_series_coeffs`` at ``dps`` digits, then rounded
+    to float64.  ``t`` is one-dimensional; returns three arrays like it.
+    """
+    coeffs = mp_series_coeffs(n, alpha, order, dps)
+    r, dr, z = (np.empty(len(t)) for _ in range(3))
+    with mp.workdps(dps):
+        # r = u A(u) and r' = 2 t B(u), with A and B highest order first.
+        a = coeffs[::-1]
+        b = [k * c for k, c in enumerate(coeffs, start=1)][::-1]
+        gamma = (mp.mpf(alpha) - 1) / 2
+        for i, x in enumerate(t):
+            x = mp.mpf(float(x))
+            u = x * x
+            y = 2 * x * mp.polyval(b, u)
+            r[i] = float(u * mp.polyval(a, u))
+            dr[i] = float(y)
+            z[i] = float((n - 1) * y * (1 + y * y) ** gamma / x - 1)
+    return r, dr, z
 
 
 def mp_series_residual_poly(n, alpha, coeffs, m):
@@ -252,3 +287,18 @@ def series_eval_loop(series, t):
         if k >= 2:
             ddr_uu = ddr_uu * u + a * k * (k - 1.0)
     return r * u, 2.0 * t_arr * dr_du, 2.0 * dr_du + 4.0 * u * ddr_uu
+
+
+def solve_recording_launch(monkeypatch, params, t_max=200.0):
+    """Solve and return the profile and the t the explicit stepper starts at."""
+    launches = []
+
+    class Recording(profile_module._CarriedSlopeStepper):
+        def __init__(self, n, alpha, t, *args, **kwargs):
+            launches.append(t)
+            super().__init__(n, alpha, t, *args, **kwargs)
+
+    monkeypatch.setattr(profile_module, "_CarriedSlopeStepper", Recording)
+    prof = profile_module.solve_profile(params, t_max, 1e-10)
+    (t_launch,) = launches
+    return prof, t_launch

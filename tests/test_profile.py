@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import dop853_loop_step, mp_far_series_coeffs
+from helpers import (
+    dop853_loop_step,
+    mp_far_series_coeffs,
+    mp_series_nodes,
+    solve_recording_launch,
+)
 import soliton_lab
 from soliton_lab import profile as profile_module
 from soliton_lab import series as series_module
@@ -114,21 +119,6 @@ def test_explicit_stretch_matches_reference(n, alpha):
     np.testing.assert_allclose(prof.r[1:], ref.y[0], rtol=2e-12, atol=0.0)
 
 
-def _solve_recording_launch(monkeypatch, params, t_max=200.0):
-    """Solve and return the profile and the t the explicit stepper starts at."""
-    launches = []
-
-    class Recording(profile_module._CarriedSlopeStepper):
-        def __init__(self, n, alpha, t, *args, **kwargs):
-            launches.append(t)
-            super().__init__(n, alpha, t, *args, **kwargs)
-
-    monkeypatch.setattr(profile_module, "_CarriedSlopeStepper", Recording)
-    prof = solve_profile(params, t_max, 1e-10)
-    (t_launch,) = launches
-    return prof, t_launch
-
-
 def test_explicit_stretch_inverts_once_per_node(monkeypatch):
     # Stages carry the slope; only the projection at each node the stepper
     # lands on inverts g.  The origin series nodes need no inversion.
@@ -140,25 +130,27 @@ def test_explicit_stretch_inverts_once_per_node(monkeypatch):
         return invert(*args)
 
     monkeypatch.setattr(profile_module, "_invert_slope", counting)
-    prof, t_launch = _solve_recording_launch(monkeypatch, ModelParams(3, 2.0), 5.0)
+    prof, t_launch = solve_recording_launch(monkeypatch, ModelParams(3, 2.0), 5.0)
     assert 0.01 < t_launch < 5.0
     assert len(calls) == np.count_nonzero(prof.grid > t_launch)
 
 
 @pytest.mark.parametrize("n, alpha", [(2, 5.0), (6, 0.5), (10, 0.3)])
 def test_origin_series_nodes_match_reference(monkeypatch, n, alpha):
-    """Every node filled by the origin series against scipy's DOP853.
+    """Every node filled by the origin series against scipy's DOP853 and
+    against a 50-digit sum of the series.
 
-    The reference integrates (r, z) at rtol 1e-13 from the first node, with
-    the slope recovered by inversion, and must agree with the series nodes
-    up to the launch of the explicit stepper.  Its atol is that of
+    The reference integrates (r, z) at rtol 1e-13, with the slope recovered
+    by inversion, from the first node and node to node, so each node is a
+    step endpoint.  Read from one run's dense output instead it is up to
+    1.07e-13 off a 50-digit sum at t = 0.71 on (2, 5), where the series
+    node is within 1.1e-16 of it.  Its atol is that of
     ``test_explicit_stretch_matches_reference``: at atol 1e-20 its first
-    steps on (2, 5) miss a 50-digit evaluation of z by 1.05e-13, where the
-    series nodes are within 1.7e-16 of it.  The series nodes are also
-    ``series_eval``'s values bit for bit.
+    steps on (2, 5) miss a 50-digit evaluation of z by 1.05e-13.  The
+    series nodes are also ``series_eval``'s values bit for bit.
     """
     params = ModelParams(n, alpha)
-    prof, t_launch = _solve_recording_launch(monkeypatch, params, 20.0)
+    prof, t_launch = solve_recording_launch(monkeypatch, params, 20.0)
     m = n - 1.0
 
     def rhs(t, u):
@@ -168,22 +160,44 @@ def test_origin_series_nodes_match_reference(monkeypatch, n, alpha):
     t = prof.grid[1:]
     t = t[t <= t_launch]
     assert len(t) > 100
+    r, dr, z = prof.r[1:len(t) + 1], prof.dr[1:len(t) + 1], prof.phase_z[:len(t)]
     r_series, dr_series, _ = series_eval(prof.series, t)
-    assert r_series.tobytes() == prof.r[1:len(t) + 1].tobytes()
-    assert dr_series.tobytes() == prof.dr[1:len(t) + 1].tobytes()
-    ref = solve_ivp(
-        rhs, (t[0], t[-1]), [prof.r[1], prof.phase_z[0]], method="DOP853",
-        t_eval=t, rtol=1e-13, atol=1e-15,
-    )
-    assert ref.success
-    np.testing.assert_allclose(prof.phase_z[:len(t)], ref.y[1], rtol=0.0, atol=1e-13)
-    np.testing.assert_allclose(prof.r[1:len(t) + 1], ref.y[0], rtol=1e-13, atol=0.0)
+    assert r_series.tobytes() == r.tobytes()
+    assert dr_series.tobytes() == dr.tobytes()
+    r_mp, dr_mp, z_mp = mp_series_nodes(n, alpha, prof.series.order, t)
+    np.testing.assert_allclose(r, r_mp, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(dr, dr_mp, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(z, z_mp, rtol=0.0, atol=1e-15)
+    ref = np.empty((2, len(t)))
+    ref[:, 0] = r[0], z[0]
+    for k in range(1, len(t)):
+        step = solve_ivp(
+            rhs, (t[k - 1], t[k]), ref[:, k - 1], method="DOP853", rtol=1e-13, atol=1e-15,
+        )
+        assert step.success
+        ref[:, k] = step.y[:, -1]
+    np.testing.assert_allclose(z, ref[1], rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(r, ref[0], rtol=1e-13, atol=0.0)
 
 
 def test_origin_series_stops_inside_its_radius(monkeypatch):
     # At (2, 5) the series' radius of convergence is about 1.19.
-    _, t_launch = _solve_recording_launch(monkeypatch, ModelParams(2, 5.0))
+    _, t_launch = solve_recording_launch(monkeypatch, ModelParams(2, 5.0))
     assert t_launch < 1.19
+
+
+_GRID = [(n, a) for n in range(2, 7) for a in (0.5, 1.0, 2.0, 3.0)]
+
+
+def test_origin_series_launches_past_t_1_5(monkeypatch):
+    """On the 20-cell grid the degree-80 series fills every node to t >= 1.5.
+
+    The earliest launch is 1.57, on (2, 3).  Degree 40 launched there
+    from 0.98, and the grid took 6,309 DOP853 steps against 4,927.
+    """
+    for n, alpha in _GRID:
+        _, t_launch = solve_recording_launch(monkeypatch, ModelParams(n, alpha))
+        assert t_launch >= 1.5, (n, alpha, t_launch)
 
 
 def _step_bits(step, stepper, state, h):
@@ -587,6 +601,27 @@ def test_no_handoff_reaches_t_max(monkeypatch):
     prof, explicit = _solve_recording_handoff(monkeypatch, ModelParams(10, 10.0), 200.0, 1e-12)
     assert explicit[-1] == 200.0
     phase_trajectory(prof)
+
+
+@pytest.mark.parametrize("t_max", [200.0, 2000.0])
+def test_series_degree_moves_no_handoff(monkeypatch, t_max):
+    """Degree 40 against degree 80: the same handoff node on every grid
+    cell, and the nodes alike to the last digits (measured: r to 1.0e-15
+    relative, z to 4.2e-16 absolute)."""
+    solves = {
+        cell: _solve_recording_handoff(monkeypatch, ModelParams(*cell), t_max) for cell in _GRID
+    }
+    monkeypatch.setattr(
+        profile_module, "series_coefficients", lambda p: series_module.series_coefficients(p, 40)
+    )
+    for cell, (prof, explicit) in solves.items():
+        low, low_explicit = _solve_recording_handoff(monkeypatch, ModelParams(*cell), t_max)
+        assert low.series.order == 40 and prof.series.order == 80
+        assert low_explicit[-1] == explicit[-1], cell
+        np.testing.assert_allclose(low.r, prof.r, rtol=4e-15, atol=0.0, err_msg=str(cell))
+        np.testing.assert_allclose(
+            low.phase_z, prof.phase_z, rtol=0.0, atol=2e-15, err_msg=str(cell)
+        )
 
 
 def test_origin_row(profile_of):
