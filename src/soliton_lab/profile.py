@@ -76,7 +76,7 @@ from .model import (
     _invert_slope,
     _slope_map_deriv,
 )
-from .series import OriginSeries, _polyval, series_coefficients, series_eval
+from .series import OriginSeries, _dot, _polyval, series_coefficients, series_eval
 
 __all__ = ["RadialProfile", "SolverError", "solve_profile"]
 
@@ -110,11 +110,18 @@ _STIFFNESS_BUDGET = 3.0
 
 # Order of the far-field series past the explicit stretch.  Its
 # coefficients grow factorially (see _far_series), so the order is fixed
-# and the handoff waits until the last term is negligible.  With 48 terms,
-# on n in {2, 3, 5, 7, 10} and 15 alphas from 0.15 to 10 at tol 1e-10, at
-# t_max 200 and at 2000, that wait binds in 66 of the 73 cells that return
-# a profile: z already agrees with the 48-term sum 2 to 154 nodes earlier.
-_FAR_ORDER = 48
+# and the handoff waits until the last term is negligible.  A last term
+# of order N falls below 1e-16 earliest near N = ln(1e16), about 37, and
+# the recursion (2 N^2 multiply-adds) and every far sum grow with N.  The
+# n 2..6 x alpha {0.5, 1, 2, 3} grid at t_max 200 takes 5,125 DOP853
+# steps at order 28, 4,981 at 32, 4,914 at 36, 4,891 at 40 and 4,927 at
+# 48; its solve time, measured in-process, moves less than its noise from
+# 24 to 48, so 36 keeps near the fewest steps with the least series work.
+# With 36 terms, on n in {2, 3, 5, 7, 10} and 15 alphas from 0.15 to 10 at
+# tol 1e-10, the wait binds in 64 of the 73 cells that return a profile at
+# t_max 200 and in 67 at 2000: z already agrees with the 36-term sum 1 to
+# 135 nodes earlier.
+_FAR_ORDER = 36
 
 
 class SolverError(RuntimeError):
@@ -424,25 +431,34 @@ def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
     w'_k = -w_k (n-1)^((2k+2)/alpha)/c; the scaling keeps them in float
     range for small alpha and large n.  They grow like k! (2/(alpha c))^k,
     so the series is asymptotic, and a fixed order serves every cell once
-    the caller waits for its last term to be negligible.  Below alpha of
-    about 0.005 the last coefficients leave float range and become inf or
-    nan, and :func:`_series_sum` then never reports them resolved.
+    the caller waits for its last term to be negligible.  At the default
+    order the last coefficients leave float range, and become inf or nan,
+    below alpha of 3.1e-4 at n = 2 (8.2e-5 at n = 15), and
+    :func:`_series_sum` then never reports them resolved.
+
+    As in :func:`~soliton_lab.series.series_coefficients`, the recursion
+    runs on Python floats and every sum adds its products in index order
+    (``series._dot``), so the coefficients do not depend on the BLAS
+    kernel.  Returns two lists of order + 1 floats.
     """
     c = alpha * (n - 1.0)
     beta = (alpha - 1.0) / 2.0
-    u, w, s, q, p = (np.zeros(order + 1) for _ in range(5))  # s = U^2, q = U^2 + x
-    u[0] = w[0] = s[0] = q[0] = p[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, order + 1):
-            # Everything at order k with u_k = 0, then u_k from the constraint.
-            s[k] = u[1:k] @ u[k - 1:0:-1]
-            q[k] = s[k] + (k == 1)
-            p[k] = ((beta + 1.0) * np.arange(1, k + 1) - k) @ (q[1:k + 1] * p[k - 1::-1]) / k
-            u[k] = (-w[k - 1] / c - u[1:k] @ p[k - 1:0:-1] - p[k]) / alpha
-            s[k] += 2.0 * u[k]
-            q[k] += 2.0 * u[k]
-            p[k] += 2.0 * beta * u[k]
-            w[k] = (2.0 * k / alpha - n) * w[k - 1] / c - w[:k] @ s[k:0:-1]
+    # Miller's weights (beta + 1) j, j = 1..order; order k subtracts k.
+    weights = [(beta + 1.0) * j for j in range(1, order + 1)]
+    u, w, s, q, p = [1.0], [1.0], [1.0], [1.0], [1.0]  # s = U^2, q = U^2 + x
+    for k in range(1, order + 1):
+        # Everything at order k with u_k = 0, then u_k from the constraint.
+        s.append(_dot(u[1:], u[:0:-1]))
+        q.append(s[k] + 1.0 if k == 1 else s[k])
+        acc = 0.0
+        for g, a, b in zip(weights, q[1:], p[::-1]):
+            acc += (g - k) * (a * b)
+        p.append(acc / k)
+        u.append((-w[k - 1] / c - _dot(u[1:], p[k - 1:0:-1]) - p[k]) / alpha)
+        s[k] += 2.0 * u[k]
+        q[k] += 2.0 * u[k]
+        p[k] += 2.0 * beta * u[k]
+        w.append((2.0 * k / alpha - n) * w[k - 1] / c - _dot(w, s[:0:-1]))
     return u, w
 
 

@@ -20,6 +20,9 @@ power recurrence (Knuth, TAOCP vol. 2, 4.7).  Then a_(2k+2) = Y_k/(2k+2).
 Each order costs O(k), the whole series O(m^2).  The residual of the
 degree-m truncation is an even function of t, hence O(t^m) rather than
 the naive O(t^(m-1)).
+
+The recursion runs on Python floats, and every sum adds its products in
+index order (see :func:`_dot`).
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ __all__ = ["OriginSeries", "series_coefficients", "series_eval"]
 # about n (where r'^2 = -1).  At degree 80 the last term stays below 1e-16
 # of the sum out to t of about 1.6 to 5.9 on the n 2..6 x alpha
 # {0.5, 1, 2, 3} grid, and the solver fills every node out to there from
-# the series.  The grid at t_max 200 then takes 4,927 explicit steps,
-# against 6,309 at degree 40 and 4,653 at 100; from degree 64 to 120 its
-# solve time is flat within the noise, as the longer sums eat what the
-# fewer steps save.
+# the series.  The grid at t_max 200 then took 4,927 explicit steps (with
+# a 48-term far series), against 6,309 at degree 40 and 4,653 at 100; from
+# degree 64 to 120 its solve time is flat within the noise, as the longer
+# sums eat what the fewer steps save.
 _MAX_ORDER = 80
 
 
@@ -56,6 +59,22 @@ class OriginSeries:
     coeffs: tuple[float, ...]
 
 
+def _dot(a, b):
+    """The sum of a_j b_j over the shorter of a and b, added in index order.
+
+    The series recursions make these sums, 1 to 40 terms long, where a
+    numpy call costs more than the arithmetic.  Written out, the sum is
+    also the same on every machine: a BLAS dot splits it into partial sums
+    by a rule of its kernel, and ``sum`` compensates from Python 3.12 on.
+    Miller's power sums, with a weight in each term, are loops of their
+    own in the same order.
+    """
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
+
+
 def series_coefficients(params: ModelParams, order: int = _MAX_ORDER) -> OriginSeries:
     """Compute the origin series of the profile to the given even degree."""
     if not isinstance(order, int) or isinstance(order, bool):
@@ -67,17 +86,21 @@ def series_coefficients(params: ModelParams, order: int = _MAX_ORDER) -> OriginS
     n, alpha = params.n, params.alpha
     gamma = (3.0 - alpha) / 2.0
     m = order // 2
-    y, s, p = (np.zeros(m) for _ in range(3))  # s = Y^2, p = (1 + u Y^2)^gamma
-    y[0] = 1.0 / n
-    s[0] = y[0] * y[0]
-    p[0] = 1.0
+    # Miller's weights (gamma + 1) j, j = 1..m-1; order k subtracts k.
+    weights = [(gamma + 1.0) * j for j in range(1, m)]
+    y = [1.0 / n]
+    s = [y[0] * y[0]]  # s = Y^2
+    p = [1.0]  # p = (1 + u Y^2)^gamma
     for k in range(1, m):
         # Miller's recurrence with the coefficients s_(j-1) of u Y^2, j = 1..k.
-        p[k] = ((gamma + 1.0) * np.arange(1, k + 1) - k) @ (s[:k] * p[k - 1::-1]) / k
-        y[k] = (p[k] - (n - 1.0) * (y[:k] @ s[k - 1::-1])) / (2.0 * k + n)
-        s[k] = y[:k + 1] @ y[k::-1]
-    coeffs = y / (2.0 * np.arange(1, m + 1))
-    return OriginSeries(params=params, order=order, coeffs=tuple(coeffs.tolist()))
+        acc = 0.0
+        for g, a, b in zip(weights, s, p[::-1]):
+            acc += (g - k) * (a * b)
+        p.append(acc / k)
+        y.append((p[k] - (n - 1.0) * _dot(y, s[::-1])) / (2.0 * k + n))
+        s.append(_dot(y, y[::-1]))
+    coeffs = tuple(yk / (2.0 * k) for k, yk in enumerate(y, start=1))
+    return OriginSeries(params=params, order=order, coeffs=coeffs)
 
 
 def _polyval(x, c):

@@ -3,14 +3,19 @@
 The mpmath series oracle recomputes the origin expansion independently at
 50 digits, so float64 coefficient rounding cannot hide in residual-order
 measurements (the residual of the degree-8 truncation is ~1e-24 at
-t = 1e-3, far beneath double precision).  The DOP853 oracle is the loop
-form of one step, driven by scipy's tables, and the origin-series oracle
-the loop form of ``series_eval``.  ``solve_recording_launch`` reports
-where a solve hands over from the origin series to the explicit stepper.
+t = 1e-3, far beneath double precision).  Its degree-80 results for the
+cells the tests check in full are stored as test data; run this file
+(``PYTHONPATH=src python tests/helpers.py``) to write them again.  The
+DOP853 oracle is the loop form of one step, driven by scipy's tables, and
+the origin-series oracle the loop form of ``series_eval``.
+``solve_recording_launch`` reports where a solve hands over from the
+origin series to the explicit stepper.
 """
 
 import functools
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -18,17 +23,51 @@ import numpy as np
 from soliton_lab import profile as profile_module
 
 
+# The 50-digit origin coefficients of the degree-80 cells the tests check
+# in full.  Recomputing them costs 1 to 2 s a cell.  They were made by
+# mp_series_coeffs_computed, and test_stored_series_matches_the_oracle
+# recomputes the leading ones of one cell.
+STORED_SERIES = Path(__file__).resolve().parent / "data" / "origin_series_50_digits.json"
+_STORED_CELLS = [(2, 0.15), (2, 5.0), (3, 2.0), (4, 1.0), (6, 0.5), (10, 0.3), (10, 10.0)]
+_STORED_ORDER = 80
+
+
 def mp_series_coeffs(n, alpha, order, dps=50):
     """Origin series coefficients (a_2, a_4, ..., a_order) at high precision.
 
-    O(order^3): 1 to 2 s at degree 80, so each result is kept for the
-    session and shared by the tests that ask for the same cell.
+    At 50 digits the cells of ``STORED_SERIES`` are read from it, up to
+    degree 80; any other request is computed, in O(order^3).  Each result
+    is kept for the rest of the test run.
     """
-    return _mp_series_coeffs(n, float(alpha), order, dps)
+    return _mp_series_coeffs_cached(n, float(alpha), order, dps)
 
 
 @functools.lru_cache(maxsize=None)
-def _mp_series_coeffs(n, alpha, order, dps):
+def _mp_series_coeffs_cached(n, alpha, order, dps):
+    stored = _stored_series().get((n, alpha))
+    if dps == 50 and stored is not None and order <= 2 * len(stored):
+        return stored[:order // 2]
+    return mp_series_coeffs_computed(n, alpha, order, dps)
+
+
+@functools.lru_cache(maxsize=1)
+def _stored_series():
+    doc = json.loads(STORED_SERIES.read_text())
+    with mp.workdps(doc["dps"]):
+        return {
+            (int(n), float(alpha)): tuple(mp.mpf(c) for c in coeffs)
+            for key, coeffs in doc["cells"].items()
+            for n, alpha in [key.split(",")]
+        }
+
+
+def mp_series_coeffs_computed(n, alpha, order, dps):
+    """The coefficients from the ODE residual, order by order.
+
+    Each order cancels the residual of the shorter truncation, rebuilt from
+    full series products: independent of the Miller recursion of
+    ``series_coefficients``, and O(order^3).
+    """
     with mp.workdps(dps):
         coeffs = {2: mp.mpf(1) / (2 * n)}
         for k in range(2, order // 2 + 1):
@@ -36,6 +75,26 @@ def _mp_series_coeffs(n, alpha, order, dps):
             res = mp_series_residual_poly(n, alpha, coeffs, m)
             coeffs[2 * k] = -res[m] / ((2 * k) * (2 * k + n - 2))
         return tuple(coeffs[2 * j] for j in range(1, order // 2 + 1))
+
+
+def write_stored_series(path=STORED_SERIES):
+    """Recompute every cell of ``STORED_SERIES`` (about 12 s) and write it."""
+    cells = {}
+    for n, alpha in _STORED_CELLS:
+        coeffs = mp_series_coeffs_computed(n, alpha, _STORED_ORDER, 50)
+        with mp.workdps(50):
+            cells[f"{n},{alpha!r}"] = [str(c) for c in coeffs]
+    doc = {
+        "what": (
+            "Origin series coefficients (a_2, a_4, ..., a_80) at 50 digits, one list "
+            "per cell 'n,alpha', made by helpers.mp_series_coeffs_computed; regenerate with: "
+            "PYTHONPATH=src python tests/helpers.py"
+        ),
+        "dps": 50,
+        "order": _STORED_ORDER,
+        "cells": cells,
+    }
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def mp_series_nodes(n, alpha, order, t, dps=50):
@@ -302,3 +361,7 @@ def solve_recording_launch(monkeypatch, params, t_max=200.0):
     prof = profile_module.solve_profile(params, t_max, 1e-10)
     (t_launch,) = launches
     return prof, t_launch
+
+
+if __name__ == "__main__":
+    write_stored_series()

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -32,6 +34,7 @@ from soliton_lab.phase import phase_trajectory
 from soliton_lab.profile import (
     RadialProfile,
     SolverError,
+    _FAR_ORDER,
     _STIFFNESS_BUDGET,
     _far_series,
     _series_sum,
@@ -92,31 +95,47 @@ def test_overflow_guard():
         solve_profile(ModelParams(2, 0.01), 1e4, 1e-10)
 
 
-@pytest.mark.parametrize("n, alpha", [(2, 0.5), (3, 2.0)])
-def test_explicit_stretch_matches_reference(n, alpha):
-    """The carried-slope stepper against scipy's DOP853 at tighter tolerance.
+def _stepped_reference(params, t, r0, z0):
+    """scipy's DOP853 on (r, z) from (t[0], r0, z0), stepped node to node.
 
-    Up to t = 5 both cells stay in the explicit regime.  The reference
-    integrates (r, z) with the slope recovered by inversion in every
-    evaluation, so a wrong carried-slope equation or tableau shows up as
-    drift in z and r.
+    The slope is recovered by inversion in every evaluation, and each node
+    is a step endpoint, at rtol 1e-13 and atol 1e-15.  Returns r and z at
+    the nodes t.
     """
-    params = ModelParams(n, alpha)
-    prof = solve_profile(params, 5.0, 1e-10)
+    n, alpha = params.n, params.alpha
     m = n - 1.0
 
     def rhs(t, u):
         y = g_invert((1.0 + u[1]) * t / m, params)
         return [y, -(1.0 + n * u[1] + alpha * m * u[1] * y * y) / t]
 
-    t = prof.grid[1:]
-    ref = solve_ivp(
-        rhs, (t[0], t[-1]), [prof.r[1], prof.phase_z[0]], method="DOP853",
-        t_eval=t, rtol=1e-13, atol=1e-15,
-    )
-    assert ref.success
-    np.testing.assert_allclose(prof.phase_z, ref.y[1], rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(prof.r[1:], ref.y[0], rtol=2e-12, atol=0.0)
+    ref = np.empty((2, len(t)))
+    ref[:, 0] = r0, z0
+    for k in range(1, len(t)):
+        step = solve_ivp(
+            rhs, (t[k - 1], t[k]), ref[:, k - 1], method="DOP853", rtol=1e-13, atol=1e-15,
+        )
+        assert step.success
+        ref[:, k] = step.y[:, -1]
+    return ref
+
+
+@pytest.mark.parametrize("n, alpha", [(2, 0.5), (3, 2.0)])
+def test_explicit_stretch_matches_reference(n, alpha):
+    """The carried-slope stepper against scipy's DOP853 at tighter tolerance.
+
+    Up to t = 5 both cells stay in the origin series and the explicit
+    regime.  The reference recovers the slope by inversion in every
+    evaluation, so a wrong carried-slope equation or tableau shows up as
+    drift in z and r.  Measured: r within 1.8e-15 relative and z within
+    5.6e-16; the bounds leave about five times that.  Read from one run's
+    dense output the reference is 4.2e-13 off in r on (2, 0.5).
+    """
+    params = ModelParams(n, alpha)
+    prof = solve_profile(params, 5.0, 1e-10)
+    ref = _stepped_reference(params, prof.grid[1:], prof.r[1], prof.phase_z[0])
+    np.testing.assert_allclose(prof.phase_z, ref[1], rtol=0.0, atol=3e-15)
+    np.testing.assert_allclose(prof.r[1:], ref[0], rtol=1e-14, atol=0.0)
 
 
 def test_explicit_stretch_inverts_once_per_node(monkeypatch):
@@ -140,23 +159,15 @@ def test_origin_series_nodes_match_reference(monkeypatch, n, alpha):
     """Every node filled by the origin series against scipy's DOP853 and
     against a 50-digit sum of the series.
 
-    The reference integrates (r, z) at rtol 1e-13, with the slope recovered
-    by inversion, from the first node and node to node, so each node is a
-    step endpoint.  Read from one run's dense output instead it is up to
+    The reference is ``_stepped_reference`` from the first node, each node
+    a step endpoint.  Read from one run's dense output instead it is up to
     1.07e-13 off a 50-digit sum at t = 0.71 on (2, 5), where the series
-    node is within 1.1e-16 of it.  Its atol is that of
-    ``test_explicit_stretch_matches_reference``: at atol 1e-20 its first
+    node is within 1.1e-16 of it.  At atol 1e-20, not 1e-15, its first
     steps on (2, 5) miss a 50-digit evaluation of z by 1.05e-13.  The
     series nodes are also ``series_eval``'s values bit for bit.
     """
     params = ModelParams(n, alpha)
     prof, t_launch = solve_recording_launch(monkeypatch, params, 20.0)
-    m = n - 1.0
-
-    def rhs(t, u):
-        y = g_invert((1.0 + u[1]) * t / m, params)
-        return [y, -(1.0 + n * u[1] + alpha * m * u[1] * y * y) / t]
-
     t = prof.grid[1:]
     t = t[t <= t_launch]
     assert len(t) > 100
@@ -168,14 +179,7 @@ def test_origin_series_nodes_match_reference(monkeypatch, n, alpha):
     np.testing.assert_allclose(r, r_mp, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(dr, dr_mp, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(z, z_mp, rtol=0.0, atol=1e-15)
-    ref = np.empty((2, len(t)))
-    ref[:, 0] = r[0], z[0]
-    for k in range(1, len(t)):
-        step = solve_ivp(
-            rhs, (t[k - 1], t[k]), ref[:, k - 1], method="DOP853", rtol=1e-13, atol=1e-15,
-        )
-        assert step.success
-        ref[:, k] = step.y[:, -1]
+    ref = _stepped_reference(params, t, r[0], z[0])
     np.testing.assert_allclose(z, ref[1], rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(r, ref[0], rtol=1e-13, atol=0.0)
 
@@ -278,6 +282,79 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Prints a digest of every series coefficient and node array of two cells.
+_KERNEL_PROBE = """
+import hashlib, json
+import numpy as np
+from soliton_lab.model import ModelParams
+from soliton_lab.profile import _far_series, solve_profile
+from soliton_lab.series import series_coefficients
+digests = {}
+for n, alpha in ((2, 0.5), (3, 2.0)):
+    params = ModelParams(n, alpha)
+    prof = solve_profile(params, 200.0, 1e-10)
+    arrays = {
+        "series_coefficients": np.array(series_coefficients(params).coeffs),
+        "_far_series": np.array(_far_series(n, alpha)),
+        **{name: getattr(prof, name) for name in ("grid", "r", "dr", "ddr", "dddr", "phase_z")},
+    }
+    for name, a in arrays.items():
+        digests[f"({n}, {alpha}) {name}"] = hashlib.sha256(a.tobytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def _numpy_blas_is_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def _cpu_has(*features):
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return all(__cpu_features__.get(f, False) for f in features)
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86-64 kernels"
+)
+@pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy is not built on OpenBLAS")
+def test_outputs_do_not_depend_on_the_blas_kernel():
+    """The series coefficients and every node array are the same bytes on
+    every OpenBLAS kernel.
+
+    Child processes run with OPENBLAS_CORETYPE unset, set to Prescott
+    (SSE3, so safe on any x86-64) and, where the CPU has AVX2 and FMA, to
+    Haswell.  OpenBLAS's dot kernels split a sum into partial sums by a
+    rule of their own, so a series recursion that used them gave other
+    coefficients, and other nodes, on each kernel.
+    """
+    src = str(Path(soliton_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", "OPENBLAS_VERBOSE": "2"}
+    env.pop("OPENBLAS_CORETYPE", None)
+    kernels = [None, "Prescott"] + (["Haswell"] if _cpu_has("AVX2", "FMA3") else [])
+    digests = {}
+    for kernel in kernels:
+        proc = subprocess.run(
+            [sys.executable, "-c", _KERNEL_PROBE],
+            capture_output=True,
+            text=True,
+            env=env if kernel is None else {**env, "OPENBLAS_CORETYPE": kernel},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Core not found" not in proc.stderr, (kernel, proc.stderr)
+        digests[kernel] = json.loads(proc.stdout)
+    for kernel in kernels[1:]:
+        moved = [name for name, d in digests[None].items() if digests[kernel][name] != d]
+        assert not moved, (kernel, moved)
 
 
 def test_polyval_bitwise_equals_numpy():
@@ -441,7 +518,10 @@ def _far_oracle_scaled(n, alpha, order):
 
 @pytest.mark.parametrize(
     "n, alpha, order",
-    [(10, 10.0, 48), (3, 2.0, 48), (2, 0.5, 24), (4, 1.0, 24), (5, 3.0, 24), (2, 0.15, 24)],
+    [
+        (10, 10.0, _FAR_ORDER), (3, 2.0, _FAR_ORDER),
+        (2, 0.5, 24), (4, 1.0, 24), (5, 3.0, 24), (2, 0.15, 24),
+    ],
 )
 def test_far_series_matches_high_precision(monkeypatch, n, alpha, order):
     """Float64 far-field coefficients against a 50-digit recomputation.
@@ -449,12 +529,14 @@ def test_far_series_matches_high_precision(monkeypatch, n, alpha, order):
     Every coefficient agrees to 1e-12 relative unless its error stays below
     1e-17 of the sum (whose first term is 1) at every x where the solver
     uses the series, which is at most x_use, the x of the handoff node.
-    That exception covers (3, 2): the z equation's factor 2k/alpha - n
-    vanishes at k = 3, so from k = 34 on the coefficients are what
-    cancellation leaves of a geometric sequence and keep no relative
-    digits in float64; their errors at the handoff are below 1e-94.
-    (2, 0.15) raises before any handoff, so there every coefficient must
-    agree to 1e-12 relative (the worst is 5.7e-16).
+    The first two cells run to the solver's order, ``_FAR_ORDER``.  The
+    exception covers (3, 2): the z equation's factor 2k/alpha - n vanishes
+    at k = 3, so from k = 34 on the coefficients are what cancellation
+    leaves of a geometric sequence and keep no relative digits in float64;
+    their errors at the handoff (x_use = 0.114) are below 7.6e-64, and
+    every earlier coefficient agrees to 6.4e-13.  (2, 0.15) raises before
+    any handoff, so there every coefficient must agree to 1e-12 relative
+    (the worst is 4.5e-16).
     """
     u, w = _far_series(n, alpha, order)
     try:
@@ -485,10 +567,15 @@ def test_far_series_leading_coefficients(n, alpha):
 
 
 def test_far_series_out_of_float_range_is_never_used():
-    """For tiny alpha the coefficients overflow quietly and never pass."""
+    """For tiny alpha the coefficients overflow quietly and never pass.
+
+    At the default order they leave float range below alpha of 3.1e-4 on
+    n = 2 (at 0.001 the last, u_36, is -2.6e269 and the series passes).
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u, w = _far_series(2, 0.001)
+        u, w = _far_series(2, 2e-4)
+        assert not all(math.isfinite(v) for v in [*u, *w])
         assert not _last_term_negligible(u, 1e-12)
         assert not _last_term_negligible(w, 1e-12)
 

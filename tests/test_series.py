@@ -1,8 +1,13 @@
+import json
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from helpers import (
+    STORED_SERIES,
     mp_series_coeffs,
+    mp_series_coeffs_computed,
     mp_series_residual_slope,
     series_eval_loop,
     solve_recording_launch,
@@ -43,13 +48,13 @@ def test_fixed_order_matches_high_precision_recursion(monkeypatch, n, alpha):
 
     The solver evaluates every coefficient of this series out to t of a
     few units, so each one must be accurate, not just the leading ones:
-    to 1e-12 relative (on the other cells the worst is 1.4e-13).  (3, 2)
+    to 1e-12 relative (on the other cells the worst is 5.6e-14).  (3, 2)
     alone may instead keep the error of its term below 1e-17 of the sum r
     at the node where the stepper launches, the last one the series fills.
     From a_64 on its coefficients (|a| <= 1.3e-41) are what cancellation
-    in the recursion leaves, up to 3.9e-11 relative off the oracle (a_76);
-    their errors add at most 3.3e-40 at the launch, t = 1.59, where
-    r = 0.41.
+    in the recursion leaves, up to 7.1e-11 relative off the oracle (a_76);
+    their errors add at most 4.5e-27 at the launch, t = 2.49, where
+    r = 1.0.  Its earlier coefficients agree to 5.5e-13.
     """
     s = series_coefficients(ModelParams(n, alpha))
     assert s.order == 80
@@ -64,6 +69,25 @@ def test_fixed_order_matches_high_precision_recursion(monkeypatch, n, alpha):
         assert err <= 1e-12 * abs(float(b)) or (
             u_use is not None and err * u_use ** k <= 1e-17 * r_use
         ), (k, a, b)
+
+
+def test_stored_series_matches_the_oracle():
+    """The stored 50-digit coefficients are the oracle's own.
+
+    The file holds degree 80 for seven cells.  The recursion is
+    triangular, so a low-degree run gives the leading coefficients of any
+    degree: (10, 0.3) recomputed to degree 24 must agree with the first
+    twelve stored values to 1e-45 relative.
+    """
+    doc = json.loads(STORED_SERIES.read_text())
+    assert doc["dps"] == 50 and doc["order"] == 80
+    assert all(len(coeffs) == 40 for coeffs in doc["cells"].values())
+    stored = mp_series_coeffs(10, 0.3, 24)
+    fresh = mp_series_coeffs_computed(10, 0.3, 24, 50)
+    assert len(stored) == len(fresh) == 12
+    with mp.workdps(50):
+        for a, b in zip(stored, fresh):
+            assert abs(a - b) <= mp.mpf("1e-45") * abs(b), (a, b)
 
 
 def test_eval_at_origin():
