@@ -24,6 +24,7 @@ import numpy as np
 
 from .model import ModelParams, coeff_C, is_log_branch
 from .profile import _T_MAX_SLACK, RadialProfile
+from .series import _dot
 
 __all__ = [
     "FarFieldFit",
@@ -130,7 +131,7 @@ class FarFieldFit:
     residual_norm: float
 
 
-def _gram_cond(gram: np.ndarray) -> float:
+def _gram_cond(gram) -> float:
     """2-norm condition number of a symmetric 2x2 Gram matrix, in closed form.
 
     The eigenvalues are mean +- radius; the smaller one is taken as det over
@@ -138,7 +139,7 @@ def _gram_cond(gram: np.ndarray) -> float:
     is larger^2/det.  inf unless det > 0, as for collinear columns.  This
     spares the SVD of ``np.linalg.cond``.
     """
-    (g11, g12), (_, g22) = gram.tolist()
+    (g11, g12), (_, g22) = gram
     det = g11 * g22 - g12 * g12
     if not det > 0.0:
         return math.inf
@@ -147,21 +148,30 @@ def _gram_cond(gram: np.ndarray) -> float:
 
 
 def _scaled_lstsq(columns: list[np.ndarray], target: np.ndarray) -> tuple[list[float], float]:
-    """Normal-equations solve on two max-norm scaled columns; returns (coefs, rms)."""
-    a = np.column_stack(columns)
-    scale = np.abs(a).max(axis=0)
-    if np.any(scale == 0.0):
+    """Normal-equations solve on two max-norm scaled columns; returns (coefs, rms).
+
+    The Gram matrix, the right-hand side and the residual's sum of squares
+    are Python-float sums in index order (``series._dot``), and the 2x2
+    system is solved in closed form, so the fit makes no BLAS or LAPACK
+    call: a BLAS kernel splits its sums by a rule of its own, and the fit
+    would change with it.
+    """
+    scale = [float(np.abs(col).max()) for col in columns]
+    if 0.0 in scale:
         raise ValueError("degenerate fit basis column")
-    a_s = a / scale
-    gram = a_s.T @ a_s
-    cond = _gram_cond(gram)
+    c1, c2 = [(col / s).tolist() for col, s in zip(columns, scale)]
+    g11, g12, g22 = _dot(c1, c1), _dot(c1, c2), _dot(c2, c2)
+    cond = _gram_cond(((g11, g12), (g12, g22)))
     if not math.isfinite(cond) or cond > 1e12:
         raise ValueError(
             f"ill-conditioned far-field fit (normal-system condition {cond:.3g})"
         )
-    coefs = np.linalg.solve(gram, a_s.T @ target) / scale
-    resid = target - a @ coefs
-    return coefs.tolist(), float(np.sqrt(np.mean(resid * resid)))
+    y = target.tolist()
+    b1, b2 = _dot(c1, y), _dot(c2, y)
+    det = g11 * g22 - g12 * g12
+    coefs = [(g22 * b1 - g12 * b2) / det / scale[0], (g11 * b2 - g12 * b1) / det / scale[1]]
+    resid = (target - (columns[0] * coefs[0] + columns[1] * coefs[1])).tolist()
+    return coefs, math.sqrt(_dot(resid, resid) / len(resid))
 
 
 def fit_far_field(

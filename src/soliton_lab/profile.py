@@ -41,9 +41,10 @@ trajectory has relaxed, it is the slow manifold, which is a power series
 in x = ((n - 1)/t)^(2/alpha) with coefficients fixed order by order (the
 reduced system of a singularly perturbed problem, Hairer and Wanner,
 Solving ODEs II, VI.2-3).  The explicit stretch ends at the first node
-where the far-field series' last term is negligible and the integrated
-defect already agrees with the series' z to the stepper's relative
-tolerance.  That agreement holds from then on: the z equation is scalar
+where the far-field series' last term is negligible at the stepper's error
+scale (at most 1e-2 rtol of the sum, rtol the stepper's relative
+tolerance) and the integrated defect already agrees with the series' z to
+rtol.  That agreement holds from then on: the z equation is scalar
 and first order, and it pulls every neighbouring trajectory toward the
 manifold, so the gap only shrinks.  If the relaxation rate first passes
 the stability budget per grid step, the stretch hands off there only with
@@ -108,20 +109,36 @@ _SPACING_MIN, _SPACING_MAX = 1e-4, 2e-2
 # sits near 6, so the stretch is still error-limited there.
 _STIFFNESS_BUDGET = 3.0
 
+
+def _stepper_rtol(tol: float) -> float:
+    """The explicit stepper's relative tolerance: tol/100, floored at 3e-14."""
+    return max(tol * 1e-2, 3e-14)
+
+
+# The far-field series counts as resolved at a node where its last term is
+# at most _FAR_CUT * rtol of its sum, rtol the stepper's own.  The handoff
+# asks z to agree with the series to rtol, so a truncation a hundred times
+# below that cannot decide it, and a tighter cut only keeps the stretch
+# stepping where z already agrees.  Below tol 3e-12 the cut is the floor,
+# 3e-16, so the nodes there still do not depend on tol.
+_FAR_CUT = 1e-2
+
 # Order of the far-field series past the explicit stretch.  Its
 # coefficients grow factorially (see _far_series), so the order is fixed
-# and the handoff waits until the last term is negligible.  A last term
-# of order N falls below 1e-16 earliest near N = ln(1e16), about 37, and
-# the recursion (2 N^2 multiply-adds) and every far sum grow with N.  The
-# n 2..6 x alpha {0.5, 1, 2, 3} grid at t_max 200 takes 5,125 DOP853
-# steps at order 28, 4,981 at 32, 4,914 at 36, 4,891 at 40 and 4,927 at
-# 48; its solve time, measured in-process, moves less than its noise from
-# 24 to 48, so 36 keeps near the fewest steps with the least series work.
-# With 36 terms, on n in {2, 3, 5, 7, 10} and 15 alphas from 0.15 to 10 at
-# tol 1e-10, the wait binds in 64 of the 73 cells that return a profile at
-# t_max 200 and in 67 at 2000: z already agrees with the 36-term sum 1 to
-# 135 nodes earlier.
-_FAR_ORDER = 36
+# and the handoff waits until the last term is within the cut above.  A
+# last term of order N falls below the cut of the default tol, 1e-14,
+# earliest near N = ln(1e14), about 32, and the recursion (2 N^2
+# multiply-adds) and every far sum grow with N.  The n 2..6 x alpha
+# {0.5, 1, 2, 3} grid at t_max 200 takes 4,805 DOP853 steps at order 24,
+# 4,641 at 28, 4,562 at 32, 4,546 at 34, 4,545 at 36, 4,558 at 40 and
+# 4,647 at 48; its solve time, measured in-process, moves less than its
+# noise from 24 to 36 and rises from 40 on, so 32 keeps near the fewest
+# steps with 2,048 multiply-adds where 36 takes 2,592.  On n in
+# {2, 3, 5, 7, 10} x alpha {0.15, 0.2, 0.3, 0.4, 0.5, 0.75, 1, 1.5, 2, 3,
+# 5, 10} at tol 1e-10 the wait still binds in 48 of the 58 cells that
+# return a profile at t_max 200 and in 47 at 2000: z already agrees with
+# the 32-term sum 1 to 92 nodes earlier.
+_FAR_ORDER = 32
 
 
 class SolverError(RuntimeError):
@@ -433,7 +450,7 @@ def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
     so the series is asymptotic, and a fixed order serves every cell once
     the caller waits for its last term to be negligible.  At the default
     order the last coefficients leave float range, and become inf or nan,
-    below alpha of 3.1e-4 at n = 2 (8.2e-5 at n = 15), and
+    below alpha of 8.5e-5 at n = 2 (2.3e-5 at n = 15), and
     :func:`_series_sum` then never reports them resolved.
 
     As in :func:`~soliton_lab.series.series_coefficients`, the recursion
@@ -462,21 +479,21 @@ def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
     return u, w
 
 
-def _series_sum(c, x):
+def _series_sum(c, x, cut):
     """The power series c, lowest order first, summed at x, and where it is resolved.
 
-    Element-wise in x: ``resolved`` is where the last term is below 1e-16
-    of the sum.  It is False where the sum is not finite, and everywhere
-    when the last coefficient is not, so a series that overflows at x or
-    whose coefficients left float range is never used.  The sum is
-    returned everywhere, so a caller fills its nodes from it.
+    Element-wise in x: ``resolved`` is where the last term is at most cut
+    times the sum.  It is False where the sum is not finite, and
+    everywhere when the last coefficient is not, so a series that
+    overflows at x or whose coefficients left float range is never used.
+    The sum is returned everywhere, so a caller fills its nodes from it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         total = _polyval(x, c)
         if not math.isfinite(c[-1]):
             return total, np.zeros(np.shape(x), dtype=bool)
         return total, np.isfinite(total) & (
-            np.abs(c[-1]) * x ** (len(c) - 1) <= 1e-16 * np.abs(total)
+            np.abs(c[-1]) * x ** (len(c) - 1) <= cut * np.abs(total)
         )
 
 
@@ -560,10 +577,11 @@ class RadialProfile:
     def evaluate(self, t):
         """Interpolate (r, dr, ddr) anywhere in [0, t_max].
 
-        Below ``grid[1]`` the origin series is evaluated directly;
-        elsewhere piecewise quintic Hermite interpolation (cubic for ddr)
-        built from the stored derivative data is used.  Accepts scalars or
-        arrays.
+        At t = 0 the values are node 0, which is the origin series there
+        bit for bit; elsewhere below ``grid[1]`` the series is evaluated
+        directly, and past it piecewise quintic Hermite interpolation
+        (cubic for ddr) built from the stored derivative data is used.
+        Accepts scalars or arrays.
         """
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
@@ -581,14 +599,18 @@ class RadialProfile:
         dr_out = np.empty_like(t_flat)
         ddr_out = np.empty_like(t_flat)
 
-        near = t_flat < self.grid[1]
+        far = t_flat >= self.grid[1]
+        origin = t_flat == 0.0
+        r_out[origin] = self.r[0]
+        dr_out[origin] = self.dr[0]
+        ddr_out[origin] = self.ddr[0]
+        near = ~(far | origin)
         if near.any():
             rs, ds, cs = series_eval(self.series, t_flat[near])
             r_out[near] = rs
             dr_out[near] = ds
             ddr_out[near] = cs
 
-        far = ~near
         if far.any():
             tq = t_flat[far]
             k = np.searchsorted(self.grid, tq, side="right") - 1
@@ -639,11 +661,12 @@ def solve_profile(
     method (DOP853, stepped in this module) integrates the (r, z) system,
     landing exactly on every node; it carries the slope y as a third state
     and projects it back onto (n - 1) g(y) = (1 + z) t at every node.  The
-    far-field series in ((n - 1)/t)^(2/alpha), its convergence to float
-    precision and its z are evaluated once at every node past the last
+    far-field series in ((n - 1)/t)^(2/alpha), where it has converged (its
+    last term at most 1e-2 rtol of the sum, rtol the stepper's relative
+    tolerance) and its z are evaluated once at every node past the last
     origin-series node.  At the first node where that series has converged
-    and the integrated z agrees with the series' z to the stepper's
-    relative tolerance (with no absolute floor), the integration stops:
+    and the integrated z agrees with the series' z to rtol (with no
+    absolute floor), the integration stops:
     every remaining node is evaluated from the series: the slope and z,
     the radius as its value at the handoff plus the term-by-term integral
     of the slope series, and r''' through the series' dz/dt.  If the
@@ -667,10 +690,11 @@ def solve_profile(
         Outer radius, switch_radius < t_max <= 1e4.
     tol : float
         Accuracy target in [1e-13, 1e-6].  The stepper's relative
-        tolerance is tol/100 floored at 3e-14, with a fixed absolute floor
-        on the defect channel.  Below tol 3e-12 that floor binds: the
-        nodes no longer depend on tol, and only the contract (100 tol) and
-        the margin of the bounds check tighten.
+        tolerance rtol is tol/100 floored at 3e-14, with a fixed absolute
+        floor on the defect channel, and the far-field series' convergence
+        cut is 1e-2 rtol.  Below tol 3e-12 the floor binds: the nodes no
+        longer depend on tol, and only the contract (100 tol) and the
+        margin of the bounds check tighten.
     switch_radius, grid_spacing
         The first node of the lattice and its spacing in log t; see
         above for the default spacing and the residual it leaves.
@@ -737,8 +761,8 @@ def solve_profile(
         stop = int(np.searchsorted(t_nodes, t_bound, side="right"))
         t_chunk = t_nodes[start:stop]
         u = t_chunk * t_chunk
-        r_sum, r_resolved = _series_sum(a, u)
-        y_sum, y_resolved = _series_sum(da, u)
+        r_sum, r_resolved = _series_sum(a, u, 1e-16)
+        y_sum, y_resolved = _series_sum(da, u, 1e-16)
         r_nodes[start:stop] = u * r_sum
         y_nodes[start:stop] = 2.0 * t_chunk * y_sum
         resolved = r_resolved & y_resolved
@@ -750,7 +774,7 @@ def solve_profile(
     near = slice(0, launch + 1)
     z_nodes[near] = (n - 1.0) * g_eval(y_nodes[near], params) / t_nodes[near] - 1.0
 
-    rtol = max(tol * 1e-2, 3e-14)
+    rtol = _stepper_rtol(tol)
     # Absolute floor for the defect channel z.  Downstream consumers need
     # z to about 1e-12 at worst; demanding 1e-16 absolute instead leaves
     # the explicit method error-strangled far below its stability limit.
@@ -769,8 +793,9 @@ def solve_profile(
     # Node k is at index k - launch - 1.
     u_far, w_far = _far_series(n, alpha)
     x_far = (m / t_nodes[launch + 1:]) ** (2.0 / alpha)
-    u_sum, u_resolved = _series_sum(u_far, x_far)
-    w_sum, w_resolved = _series_sum(w_far, x_far)
+    far_cut = _FAR_CUT * rtol
+    u_sum, u_resolved = _series_sum(u_far, x_far, far_cut)
+    w_sum, w_resolved = _series_sum(w_far, x_far, far_cut)
     with np.errstate(over="ignore"):  # where the sums diverge; never read there
         z_far = -x_far * w_sum / c
     converged, z_series = (u_resolved & w_resolved).tolist(), z_far.tolist()

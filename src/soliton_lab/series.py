@@ -67,7 +67,8 @@ def _dot(a, b):
     also the same on every machine: a BLAS dot splits it into partial sums
     by a rule of its kernel, and ``sum`` compensates from Python 3.12 on.
     Miller's power sums, with a weight in each term, are loops of their
-    own in the same order.
+    own in the same order.  The far-field fit forms its normal equations
+    with it too, for that sameness alone.
     """
     acc = 0.0
     for x, y in zip(a, b):

@@ -34,19 +34,23 @@ from soliton_lab.phase import phase_trajectory
 from soliton_lab.profile import (
     RadialProfile,
     SolverError,
+    _FAR_CUT,
     _FAR_ORDER,
     _STIFFNESS_BUDGET,
     _far_series,
     _series_sum,
+    _stepper_rtol,
     solve_profile,
 )
 from soliton_lab.series import _polyval, series_eval
 from soliton_lab.verify import check_pde_residual, sample_ball
 
 
-def _last_term_negligible(c, x):
-    """Where the last term of the series c at x is below 1e-16 of its sum."""
-    return _series_sum(c, x)[1]
+def _last_term_negligible(c, x, tol=1e-10):
+    """Where the far series c at x counts as resolved in a solve at tol: its
+    last term within the solver's cut, ``_FAR_CUT`` times the stepper's rtol,
+    of its sum."""
+    return _series_sum(c, x, _FAR_CUT * _stepper_rtol(tol))[1]
 
 
 def test_deterministic(profile_of):
@@ -121,21 +125,27 @@ def _stepped_reference(params, t, r0, z0):
 
 
 @pytest.mark.parametrize("n, alpha", [(2, 0.5), (3, 2.0)])
-def test_explicit_stretch_matches_reference(n, alpha):
+def test_explicit_stretch_matches_reference(monkeypatch, n, alpha):
     """The carried-slope stepper against scipy's DOP853 at tighter tolerance.
 
-    Up to t = 5 both cells stay in the origin series and the explicit
-    regime.  The reference recovers the slope by inversion in every
-    evaluation, so a wrong carried-slope equation or tableau shows up as
-    drift in z and r.  Measured: r within 1.8e-15 relative and z within
-    5.6e-16; the bounds leave about five times that.  Read from one run's
-    dense output the reference is 4.2e-13 off in r on (2, 0.5).
+    Only the origin-series and explicit nodes are compared, up to the last
+    node the stepper lands on: (3, 2) stays explicit up to t_max 5, and
+    (2, 0.5) hands off to the far-field series at t = 4.24, past which the
+    series' truncation sets the nodes, not the stepper.  The reference
+    recovers the slope by inversion in every evaluation, so a wrong
+    carried-slope equation or tableau shows up as drift in z and r.
+    Measured: r within 1.8e-15 relative and z within 5.6e-16; the bounds
+    leave about five times that.  Read from one run's dense output the
+    reference is 4.2e-13 off in r on (2, 0.5).
     """
     params = ModelParams(n, alpha)
-    prof = solve_profile(params, 5.0, 1e-10)
-    ref = _stepped_reference(params, prof.grid[1:], prof.r[1], prof.phase_z[0])
-    np.testing.assert_allclose(prof.phase_z, ref[1], rtol=0.0, atol=3e-15)
-    np.testing.assert_allclose(prof.r[1:], ref[0], rtol=1e-14, atol=0.0)
+    prof, explicit = _solve_recording_handoff(monkeypatch, params, 5.0)
+    assert len(explicit) > 50 and explicit[-1] > 4.0
+    t = prof.grid[1:]
+    k = int(np.flatnonzero(t == explicit[-1])[0]) + 1  # the series and explicit nodes
+    ref = _stepped_reference(params, t[:k], prof.r[1], prof.phase_z[0])
+    np.testing.assert_allclose(prof.phase_z[:k], ref[1], rtol=0.0, atol=3e-15)
+    np.testing.assert_allclose(prof.r[1:k + 1], ref[0], rtol=1e-14, atol=0.0)
 
 
 def test_explicit_stretch_inverts_once_per_node(monkeypatch):
@@ -284,10 +294,12 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# Prints a digest of every series coefficient and node array of two cells.
+# Prints a digest of every series coefficient, node array and far-field fit
+# value of two cells.
 _KERNEL_PROBE = """
 import hashlib, json
 import numpy as np
+from soliton_lab.asymptotics import fit_far_field
 from soliton_lab.model import ModelParams
 from soliton_lab.profile import _far_series, solve_profile
 from soliton_lab.series import series_coefficients
@@ -295,10 +307,12 @@ digests = {}
 for n, alpha in ((2, 0.5), (3, 2.0)):
     params = ModelParams(n, alpha)
     prof = solve_profile(params, 200.0, 1e-10)
+    fit = fit_far_field(prof)
     arrays = {
         "series_coefficients": np.array(series_coefficients(params).coeffs),
         "_far_series": np.array(_far_series(n, alpha)),
         **{name: getattr(prof, name) for name in ("grid", "r", "dr", "ddr", "dddr", "phase_z")},
+        "fit_far_field": np.array([fit.fitted_leading, fit.fitted_second, fit.residual_norm]),
     }
     for name, a in arrays.items():
         digests[f"({n}, {alpha}) {name}"] = hashlib.sha256(a.tobytes()).hexdigest()
@@ -327,14 +341,16 @@ def _cpu_has(*features):
 )
 @pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy is not built on OpenBLAS")
 def test_outputs_do_not_depend_on_the_blas_kernel():
-    """The series coefficients and every node array are the same bytes on
-    every OpenBLAS kernel.
+    """The series coefficients, every node array and the far-field fit are
+    the same bytes on every OpenBLAS kernel.
 
     Child processes run with OPENBLAS_CORETYPE unset, set to Prescott
     (SSE3, so safe on any x86-64) and, where the CPU has AVX2 and FMA, to
     Haswell.  OpenBLAS's dot kernels split a sum into partial sums by a
     rule of their own, so a series recursion that used them gave other
-    coefficients, and other nodes, on each kernel.
+    coefficients, and other nodes, on each kernel, and a fit whose normal
+    equations were BLAS products and a LAPACK solve gave other fitted
+    values.
     """
     src = str(Path(soliton_lab.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -530,13 +546,14 @@ def test_far_series_matches_high_precision(monkeypatch, n, alpha, order):
     1e-17 of the sum (whose first term is 1) at every x where the solver
     uses the series, which is at most x_use, the x of the handoff node.
     The first two cells run to the solver's order, ``_FAR_ORDER``.  The
-    exception covers (3, 2): the z equation's factor 2k/alpha - n vanishes
-    at k = 3, so from k = 34 on the coefficients are what cancellation
-    leaves of a geometric sequence and keep no relative digits in float64;
-    their errors at the handoff (x_use = 0.114) are below 7.6e-64, and
-    every earlier coefficient agrees to 6.4e-13.  (2, 0.15) raises before
-    any handoff, so there every coefficient must agree to 1e-12 relative
-    (the worst is 4.5e-16).
+    exception is for orders past 33 at (3, 2): the z equation's factor
+    2k/alpha - n vanishes at k = 3, so from k = 34 on the coefficients are
+    what cancellation leaves of a geometric sequence and keep no relative
+    digits in float64 (at 36 terms their errors at the handoff, x_use =
+    0.114, are below 7.6e-64).  At 32 terms every coefficient of every
+    cell agrees to 1e-12 relative, the worst to 1.9e-14 at (3, 2).
+    (2, 0.15) raises before any handoff, so there every coefficient must
+    agree to 1e-12 relative (the worst is 4.5e-16).
     """
     u, w = _far_series(n, alpha, order)
     try:
@@ -569,12 +586,12 @@ def test_far_series_leading_coefficients(n, alpha):
 def test_far_series_out_of_float_range_is_never_used():
     """For tiny alpha the coefficients overflow quietly and never pass.
 
-    At the default order they leave float range below alpha of 3.1e-4 on
-    n = 2 (at 0.001 the last, u_36, is -2.6e269 and the series passes).
+    At the default order they leave float range below alpha of 8.5e-5 on
+    n = 2 (at 1e-4 the last, u_32, is -1.0e302 and the series passes).
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u, w = _far_series(2, 2e-4)
+        u, w = _far_series(2, 5e-5)
         assert not all(math.isfinite(v) for v in [*u, *w])
         assert not _last_term_negligible(u, 1e-12)
         assert not _last_term_negligible(w, 1e-12)
@@ -593,9 +610,10 @@ def test_handoff_where_the_defect_matches_the_series(monkeypatch, n, alpha):
     assert explicit[-1] < 40.0
 
 
-def _capped_and_converged(params, t, y, z):
-    """At the nodes (t, y, z): where the relaxation rate passes the stability
-    cap with the far series converged, where it has converged, and its z."""
+def _capped_and_converged(params, tol, t, y, z):
+    """At the nodes (t, y, z) of a solve at tol: where the relaxation rate
+    passes the stability cap with the far series converged, where it has
+    converged, and its z."""
     n, alpha = params.n, params.alpha
     m = n - 1.0
     c = alpha * m
@@ -604,7 +622,7 @@ def _capped_and_converged(params, t, y, z):
     capped = n + c * (y * y + 2.0 * z * y * dydz) > rate_cap
     u, w = _far_series(n, alpha)
     x = (m / t) ** (2.0 / alpha)
-    converged = _last_term_negligible(u, x) & _last_term_negligible(w, x)
+    converged = _last_term_negligible(u, x, tol) & _last_term_negligible(w, x, tol)
     with np.errstate(over="ignore", invalid="ignore"):
         z_series = -x * _polyval(x, w) / c
     return capped & converged, converged, z_series
@@ -645,10 +663,10 @@ def test_handoff_never_later_than_the_relaxed_gate(monkeypatch, n):
             assert np.all(np.isfinite(prof.r)) and np.all(np.isfinite(prof.phase_z))
             k = np.searchsorted(prof.grid[1:], explicit)
             t, y, z = prof.grid[1:][k], prof.dr[1:][k], prof.phase_z[k]
-            gate, converged, z_series = _capped_and_converged(params, t, y, z)
+            gate, converged, z_series = _capped_and_converged(params, tol, t, y, z)
             assert not gate[:-1].any(), (alpha, tol, t[np.argmax(gate)])
             if explicit[-1] < 200.0:
-                rtol = max(tol * 1e-2, 3e-14)
+                rtol = _stepper_rtol(tol)
                 gap = abs(z[-1] - z_series[-1])
                 assert converged[-1] and gap <= atol + rtol * abs(z[-1]), (alpha, tol)
                 assert gate[-1] or gap <= rtol * abs(z[-1]), (alpha, tol)
@@ -675,8 +693,10 @@ def test_cap_handoff_within_the_error_scale(monkeypatch):
     assert 1000.0 < explicit[-1] < 2000.0
     k = int(np.flatnonzero(prof.grid[1:] == explicit[-1])[0])
     t, y, z = prof.grid[1:][k], prof.dr[k + 1], prof.phase_z[k]
-    gate, _, z_series = _capped_and_converged(params, np.array([t]), np.array([y]), np.array([z]))
-    rtol = 3e-14  # the stepper's floor, above tol 1e-12 / 100
+    gate, _, z_series = _capped_and_converged(
+        params, 1e-12, np.array([t]), np.array([y]), np.array([z])
+    )
+    rtol = _stepper_rtol(1e-12)  # the floor, 3e-14, above tol 1e-12 / 100
     gap = abs(z - z_series[0])
     assert gate[0] and rtol * abs(z) < gap <= 1e-13 + rtol * abs(z)
 
@@ -785,6 +805,20 @@ def test_evaluate_series_region(profile_of):
     r, dr, ddr = prof.evaluate(t)
     np.testing.assert_allclose(ddr, 1.0 / 6.0, rtol=1e-4)
     np.testing.assert_allclose(r, t * t / 12.0, rtol=1e-4)
+
+
+@pytest.mark.parametrize("n, alpha", [(6, 0.5), (3, 2.0), (2, 5.0)])
+def test_evaluate_at_the_axis_is_the_series(profile_of, n, alpha):
+    """At t = 0, alone or inside an array, ``evaluate`` gives ``series_eval``'s
+    bytes, and every other point of the array its own scalar value."""
+    prof = profile_of(n, alpha)
+    axis = [float(v).hex() for v in series_eval(prof.series, 0.0)]
+    assert [v.hex() for v in prof.evaluate(0.0)] == axis
+    t = np.array([0.5, 0.0, 2e-3, 0.0, 50.0])
+    values = np.array(prof.evaluate(t))
+    for i, ti in enumerate(t.tolist()):
+        expected = axis if ti == 0.0 else [v.hex() for v in prof.evaluate(ti)]
+        assert [v.hex() for v in values[:, i].tolist()] == expected, ti
 
 
 def test_t_max_property(profile_of):
