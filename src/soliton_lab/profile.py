@@ -77,7 +77,7 @@ from .model import (
     _invert_slope,
     _slope_map_deriv,
 )
-from .series import OriginSeries, _dot, _polyval, series_coefficients, series_eval
+from .series import OriginSeries, _dot, _polyval, _power_step, series_coefficients, series_eval
 
 __all__ = ["RadialProfile", "SolverError", "solve_profile"]
 
@@ -101,6 +101,12 @@ _T_MAX_SLACK = 1.0 + 4e-16
 # gap the sixth-order difference stencil of the phase check tolerates
 # before its truncation error pollutes the residual contract.
 _SPACING_MIN, _SPACING_MAX = 1e-4, 2e-2
+
+
+def _default_spacing(alpha: float) -> float:
+    """The log-t spacing of a solve given none; see :func:`solve_profile`."""
+    return 1e-2 if alpha >= 1.0 else 3.25e-3
+
 
 # Relaxation rate (per unit log t) times grid spacing at which the explicit
 # stretch hands off, or raises if z is off the far-field series by more
@@ -455,8 +461,8 @@ def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
 
     As in :func:`~soliton_lab.series.series_coefficients`, the recursion
     runs on Python floats and every sum adds its products in index order
-    (``series._dot``), so the coefficients do not depend on the BLAS
-    kernel.  Returns two lists of order + 1 floats.
+    (``series._dot`` and ``series._power_step``), so the coefficients do
+    not depend on the BLAS kernel.  Returns two lists of order + 1 floats.
     """
     c = alpha * (n - 1.0)
     beta = (alpha - 1.0) / 2.0
@@ -467,10 +473,7 @@ def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
         # Everything at order k with u_k = 0, then u_k from the constraint.
         s.append(_dot(u[1:], u[:0:-1]))
         q.append(s[k] + 1.0 if k == 1 else s[k])
-        acc = 0.0
-        for g, a, b in zip(weights, q[1:], p[::-1]):
-            acc += (g - k) * (a * b)
-        p.append(acc / k)
+        p.append(_power_step(weights, q[1:], p, k))
         u.append((-w[k - 1] / c - _dot(u[1:], p[k - 1:0:-1]) - p[k]) / alpha)
         s[k] += 2.0 * u[k]
         q[k] += 2.0 * u[k]
@@ -558,6 +561,14 @@ class RadialProfile:
     ``grid`` starts at t = 0 (where r = dr = 0 and ddr = 1/n) and is
     uniform in log t from its first lattice node ``grid[1]`` outward.
     Arrays are owned by the profile and must not be mutated.
+
+    ``launch`` and ``handoff`` record where the solver's regimes meet, as
+    indices into ``grid``.  The origin series fills ``grid[:launch + 1]``
+    and the explicit stepper starts from ``grid[launch]``; it lands on
+    ``grid[launch + 1:handoff + 1]``, and the far-field series fills
+    ``grid[handoff + 1:]``.  ``handoff`` is ``len(grid) - 1`` when the
+    stretch runs to t_max, and equals ``launch`` when the origin series
+    fills every node.
     """
 
     params: ModelParams
@@ -569,6 +580,8 @@ class RadialProfile:
     series: OriginSeries
     phase_z: np.ndarray = field(repr=False)
     dddr: np.ndarray = field(repr=False)
+    launch: int
+    handoff: int
 
     @property
     def t_max(self) -> float:
@@ -723,7 +736,7 @@ def solve_profile(
         raise ValueError(f"t_max = {t_max:g} exceeds the supported limit {_T_MAX_CAP:g}")
     n, alpha = params.n, params.alpha
     if grid_spacing is None:
-        grid_spacing = 1e-2 if alpha >= 1.0 else 3.25e-3
+        grid_spacing = _default_spacing(alpha)
     if not (_SPACING_MIN <= grid_spacing <= _SPACING_MAX):
         raise ValueError(f"grid spacing must lie in [{_SPACING_MIN:g}, {_SPACING_MAX:g}] (log t)")
     # Slope grows like (t/(n-1))^(1/alpha); refuse up front if that cannot
@@ -877,5 +890,7 @@ def solve_profile(
         series=series,
         phase_z=z_nodes,
         dddr=dddr_nodes,
+        launch=launch + 1,  # grid has the axis in front of t_nodes
+        handoff=tail,
     )
 

@@ -66,14 +66,27 @@ def _dot(a, b):
     numpy call costs more than the arithmetic.  Written out, the sum is
     also the same on every machine: a BLAS dot splits it into partial sums
     by a rule of its kernel, and ``sum`` compensates from Python 3.12 on.
-    Miller's power sums, with a weight in each term, are loops of their
-    own in the same order.  The far-field fit forms its normal equations
-    with it too, for that sameness alone.
+    Miller's power sums, with a weight in each term, are added in the same
+    order by :func:`_power_step`.  The far-field fit forms its normal
+    equations with it too, for that sameness alone.
     """
     acc = 0.0
     for x, y in zip(a, b):
         acc += x * y
     return acc
+
+
+def _power_step(weights, base, p, k):
+    """p_k of P = (1 + B)^gamma by J.C.P. Miller's recurrence,
+    k p_k = sum over j = 1..k of ((gamma + 1) j - k) b_j p_(k-j).
+
+    ``weights`` holds (gamma + 1) j and ``base`` b_j for j = 1, 2, ...;
+    ``p`` holds p_0..p_(k-1).  The terms are added in order of j.
+    """
+    acc = 0.0
+    for g, a, b in zip(weights, base, p[::-1]):
+        acc += (g - k) * (a * b)
+    return acc / k
 
 
 def series_coefficients(params: ModelParams, order: int = _MAX_ORDER) -> OriginSeries:
@@ -94,10 +107,7 @@ def series_coefficients(params: ModelParams, order: int = _MAX_ORDER) -> OriginS
     p = [1.0]  # p = (1 + u Y^2)^gamma
     for k in range(1, m):
         # Miller's recurrence with the coefficients s_(j-1) of u Y^2, j = 1..k.
-        acc = 0.0
-        for g, a, b in zip(weights, s, p[::-1]):
-            acc += (g - k) * (a * b)
-        p.append(acc / k)
+        p.append(_power_step(weights, s, p, k))
         y.append((p[k] - (n - 1.0) * _dot(y, s[::-1])) / (2.0 * k + n))
         s.append(_dot(y, y[::-1]))
     coeffs = tuple(yk / (2.0 * k) for k, yk in enumerate(y, start=1))

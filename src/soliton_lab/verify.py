@@ -285,8 +285,8 @@ class GradientScanReport:
 
 def default_scan_geometry(t_max: float) -> tuple[list[float], list[float]]:
     """Paired (centers, radii) covering [1, t_max/2] at fixed log density."""
-    if t_max < 4.0:
-        raise ValueError("gradient scan needs t_max >= 4")
+    if not (math.isfinite(t_max) and t_max >= 4.0):
+        raise ValueError(f"gradient scan needs a finite t_max >= 4, got {t_max:g}")
     hi = t_max / 2.0
     count = max(2, int(round(1 + 12 * math.log10(hi))))
     centers = list(np.geomspace(1.0, hi, count))
@@ -335,11 +335,11 @@ def check_refinement_agreement(profile: RadialProfile) -> CheckReport:
 
     The finer run tightens the profile's tolerance tenfold (floored at the
     solver minimum) and halves the first node of its lattice, which shifts
-    every node; the stepper launches from the origin series' reach (t of 1
-    to 4) either way.  Below tol 3e-12 both solves step at the solver's
-    rtol floor, so the shifted lattice is their only difference.  Metric
-    is the sup over the coarse grid of |r_a - r_b| / (1 + |r_a|); r
-    reaches 1e4 and beyond, so only the relative form is meaningful
+    every node; each solve's stepper starts where its own origin series
+    ends, at ``grid[launch]``.  Below tol 3e-12 both solves step at the
+    solver's rtol floor, so the shifted lattice is their only difference.
+    Metric is the sup over the coarse grid of |r_a - r_b| / (1 + |r_a|);
+    r reaches 1e4 and beyond, so only the relative form is meaningful
     against 100*tol.
     """
     tol = profile.tol

@@ -8,8 +8,6 @@ cells the tests check in full are stored as test data; run this file
 (``PYTHONPATH=src python tests/helpers.py``) to write them again.  The
 DOP853 oracle is the loop form of one step, driven by scipy's tables, and
 the origin-series oracle the loop form of ``series_eval``.
-``solve_recording_launch`` reports where a solve hands over from the
-origin series to the explicit stepper.
 """
 
 import functools
@@ -19,8 +17,6 @@ from pathlib import Path
 
 import mpmath as mp
 import numpy as np
-
-from soliton_lab import profile as profile_module
 
 
 # The 50-digit origin coefficients of the degree-80 cells the tests check
@@ -346,21 +342,6 @@ def series_eval_loop(series, t):
         if k >= 2:
             ddr_uu = ddr_uu * u + a * k * (k - 1.0)
     return r * u, 2.0 * t_arr * dr_du, 2.0 * dr_du + 4.0 * u * ddr_uu
-
-
-def solve_recording_launch(monkeypatch, params, t_max=200.0):
-    """Solve and return the profile and the t the explicit stepper starts at."""
-    launches = []
-
-    class Recording(profile_module._CarriedSlopeStepper):
-        def __init__(self, n, alpha, t, *args, **kwargs):
-            launches.append(t)
-            super().__init__(n, alpha, t, *args, **kwargs)
-
-    monkeypatch.setattr(profile_module, "_CarriedSlopeStepper", Recording)
-    prof = profile_module.solve_profile(params, t_max, 1e-10)
-    (t_launch,) = launches
-    return prof, t_launch
 
 
 if __name__ == "__main__":

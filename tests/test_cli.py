@@ -133,6 +133,16 @@ def test_scan_gradient_subcommand(capsys):
     assert len(lines) == 14
 
 
+@pytest.mark.parametrize("t_max", ["inf", "nan"])
+def test_scan_gradient_non_finite_tmax_is_usage_error(capsys, t_max):
+    """A radius that is not finite is refused with the range it must lie in."""
+    code = run_cli(["scan-gradient", "--n", "2", "--alpha", "2", "--tmax", t_max])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: gradient scan needs a finite t_max >= 4")
+    assert captured.out == ""
+
+
 def test_table_one_row_per_grid_cell(tmp_path):
     """One row per grid cell under the header."""
     target = tmp_path / "table.csv"

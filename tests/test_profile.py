@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import (
-    dop853_loop_step,
-    mp_far_series_coeffs,
-    mp_series_nodes,
-    solve_recording_launch,
-)
+from helpers import dop853_loop_step, mp_far_series_coeffs, mp_series_nodes
 import soliton_lab
 from soliton_lab import profile as profile_module
 from soliton_lab import series as series_module
@@ -37,6 +32,7 @@ from soliton_lab.profile import (
     _FAR_CUT,
     _FAR_ORDER,
     _STIFFNESS_BUDGET,
+    _default_spacing,
     _far_series,
     _series_sum,
     _stepper_rtol,
@@ -125,7 +121,7 @@ def _stepped_reference(params, t, r0, z0):
 
 
 @pytest.mark.parametrize("n, alpha", [(2, 0.5), (3, 2.0)])
-def test_explicit_stretch_matches_reference(monkeypatch, n, alpha):
+def test_explicit_stretch_matches_reference(n, alpha):
     """The carried-slope stepper against scipy's DOP853 at tighter tolerance.
 
     Only the origin-series and explicit nodes are compared, up to the last
@@ -139,11 +135,10 @@ def test_explicit_stretch_matches_reference(monkeypatch, n, alpha):
     reference is 4.2e-13 off in r on (2, 0.5).
     """
     params = ModelParams(n, alpha)
-    prof, explicit = _solve_recording_handoff(monkeypatch, params, 5.0)
-    assert len(explicit) > 50 and explicit[-1] > 4.0
-    t = prof.grid[1:]
-    k = int(np.flatnonzero(t == explicit[-1])[0]) + 1  # the series and explicit nodes
-    ref = _stepped_reference(params, t[:k], prof.r[1], prof.phase_z[0])
+    prof = solve_profile(params, 5.0, 1e-10)
+    k = prof.handoff  # grid[1:k + 1] are the series and explicit nodes
+    assert k - prof.launch > 50 and prof.grid[k] > 4.0
+    ref = _stepped_reference(params, prof.grid[1:k + 1], prof.r[1], prof.phase_z[0])
     np.testing.assert_allclose(prof.phase_z[:k], ref[1], rtol=0.0, atol=3e-15)
     np.testing.assert_allclose(prof.r[1:k + 1], ref[0], rtol=1e-14, atol=0.0)
 
@@ -159,13 +154,13 @@ def test_explicit_stretch_inverts_once_per_node(monkeypatch):
         return invert(*args)
 
     monkeypatch.setattr(profile_module, "_invert_slope", counting)
-    prof, t_launch = solve_recording_launch(monkeypatch, ModelParams(3, 2.0), 5.0)
-    assert 0.01 < t_launch < 5.0
-    assert len(calls) == np.count_nonzero(prof.grid > t_launch)
+    prof = solve_profile(ModelParams(3, 2.0), 5.0, 1e-10)
+    assert 1 < prof.launch < prof.handoff
+    assert len(calls) == prof.handoff - prof.launch
 
 
 @pytest.mark.parametrize("n, alpha", [(2, 5.0), (6, 0.5), (10, 0.3)])
-def test_origin_series_nodes_match_reference(monkeypatch, n, alpha):
+def test_origin_series_nodes_match_reference(profile_of, n, alpha):
     """Every node filled by the origin series against scipy's DOP853 and
     against a 50-digit sum of the series.
 
@@ -177,9 +172,8 @@ def test_origin_series_nodes_match_reference(monkeypatch, n, alpha):
     series nodes are also ``series_eval``'s values bit for bit.
     """
     params = ModelParams(n, alpha)
-    prof, t_launch = solve_recording_launch(monkeypatch, params, 20.0)
-    t = prof.grid[1:]
-    t = t[t <= t_launch]
+    prof = profile_of(n, alpha, 20.0)
+    t = prof.grid[1:prof.launch + 1]
     assert len(t) > 100
     r, dr, z = prof.r[1:len(t) + 1], prof.dr[1:len(t) + 1], prof.phase_z[:len(t)]
     r_series, dr_series, _ = series_eval(prof.series, t)
@@ -194,23 +188,24 @@ def test_origin_series_nodes_match_reference(monkeypatch, n, alpha):
     np.testing.assert_allclose(r, ref[0], rtol=1e-13, atol=0.0)
 
 
-def test_origin_series_stops_inside_its_radius(monkeypatch):
+def test_origin_series_stops_inside_its_radius(profile_of):
     # At (2, 5) the series' radius of convergence is about 1.19.
-    _, t_launch = solve_recording_launch(monkeypatch, ModelParams(2, 5.0))
-    assert t_launch < 1.19
+    prof = profile_of(2, 5.0)
+    assert prof.grid[prof.launch] < 1.19
 
 
 _GRID = [(n, a) for n in range(2, 7) for a in (0.5, 1.0, 2.0, 3.0)]
 
 
-def test_origin_series_launches_past_t_1_5(monkeypatch):
+def test_origin_series_launches_past_t_1_5(profile_of):
     """On the 20-cell grid the degree-80 series fills every node to t >= 1.5.
 
     The earliest launch is 1.57, on (2, 3).  Degree 40 launched there
     from 0.98, and the grid took 6,309 DOP853 steps against 4,927.
     """
     for n, alpha in _GRID:
-        _, t_launch = solve_recording_launch(monkeypatch, ModelParams(n, alpha))
+        prof = profile_of(n, alpha)
+        t_launch = prof.grid[prof.launch]
         assert t_launch >= 1.5, (n, alpha, t_launch)
 
 
@@ -426,35 +421,54 @@ def test_last_term_negligible_false_where_the_sum_overflows():
         assert _last_term_negligible(w, x).tolist() == [False, True]
 
 
-def _solve_recording_handoff(monkeypatch, params, t_max=200.0, tol=1e-10):
-    """Solve and return the profile and every node the explicit stepper lands on.
-
-    The last of them is the handoff node: the far-field series fills every
-    node after it, and none when it is t_max.
-    """
-    targets = []
+# One cell for each way the explicit stretch ends.
+@pytest.mark.parametrize(
+    "n, alpha, t_max, tol, end",
+    [
+        (3, 2.0, 200.0, 1e-10, "agreement"),  # z agrees with the far series
+        (15, 7.0, 2000.0, 1e-12, "cap"),  # the stability cap
+        (10, 10.0, 200.0, 1e-12, "t_max"),  # no handoff
+        (3, 2.0, 1.0, 1e-10, "series"),  # the origin series fills every node
+    ],
+)
+def test_launch_and_handoff_are_where_the_stepper_runs(monkeypatch, n, alpha, t_max, tol, end):
+    """The stepper starts at ``grid[launch]`` and lands on exactly
+    ``grid[launch + 1:handoff + 1]``; with no node to step it never starts."""
+    starts, landings = [], []
 
     class Recording(profile_module._CarriedSlopeStepper):
+        def __init__(self, n, alpha, t, *args, **kwargs):
+            starts.append(t)
+            super().__init__(n, alpha, t, *args, **kwargs)
+
         def advance_to(self, t_target):
-            targets.append(t_target)
+            landings.append(t_target)
             super().advance_to(t_target)
 
     monkeypatch.setattr(profile_module, "_CarriedSlopeStepper", Recording)
-    prof = solve_profile(params, t_max, tol)
-    return prof, np.array(targets)
+    prof = solve_profile(ModelParams(n, alpha), t_max, tol)
+    last = len(prof.grid) - 1
+    assert landings == prof.grid[prof.launch + 1:prof.handoff + 1].tolist()
+    if end == "series":
+        assert prof.launch == prof.handoff == last and starts == []
+    else:
+        assert starts == [prof.grid[prof.launch]]
+        assert 1 <= prof.launch < prof.handoff
+        assert (prof.handoff == last) == (end == "t_max")
 
 
-def _radau_past_handoff(monkeypatch, n, alpha, t_max):
-    """The profile, its handoff node k and scipy's Radau from there to t_max.
+def _radau_past_handoff(profile_of, n, alpha, t_max):
+    """The profile, its handoff node k (an index into ``grid[1:]``) and
+    scipy's Radau from there to t_max.
 
     Radau integrates (r, z) at tight tolerance with the slope recovered by
     inversion, from the last explicit node, at every series node.
     """
     params = ModelParams(n, alpha)
-    prof, explicit = _solve_recording_handoff(monkeypatch, params, t_max)
+    prof = profile_of(n, alpha, t_max)
     m = n - 1.0
     t = prof.grid[1:]
-    (k,) = np.flatnonzero(t == explicit[-1])
+    k = prof.handoff - 1
     assert k < len(t) - 10
 
     def rhs(t, u):
@@ -482,23 +496,23 @@ def _radau_past_handoff(monkeypatch, n, alpha, t_max):
     "n, alpha",
     [(2, 1.0), (2, 2.0), (5, 2.0), (3, 3.0), (3, 3.0 + 1e-9), (3, 3.0 - 1e-9)],
 )
-def test_series_stretch_matches_radau(monkeypatch, n, alpha):
+def test_series_stretch_matches_radau(profile_of, n, alpha):
     """Past the handoff the far-field series is the integrated trajectory:
     the series nodes carry Radau's defect z and radius r."""
-    prof, k, ref = _radau_past_handoff(monkeypatch, n, alpha, 200.0)
+    prof, k, ref = _radau_past_handoff(profile_of, n, alpha, 200.0)
     np.testing.assert_allclose(prof.phase_z[k + 1:], ref.y[1], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(prof.r[k + 2:], ref.y[0], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n, alpha, t_max", [(10, 0.15, 200.0), (7, 0.2, 200.0), (2, 0.5, 2000.0)])
-def test_far_radius_matches_radau_below_alpha_one(monkeypatch, n, alpha, t_max):
+def test_far_radius_matches_radau_below_alpha_one(profile_of, n, alpha, t_max):
     """r past the handoff is the slope series integrated term by term.
 
     Here the slope grows like t^(1/alpha), with 1/alpha up to 6.7, faster
     than a quadrature between nodes resolves.  Only r is compared:
     Radau's atol of 1e-20 cannot resolve |z| ~ t^(-2/alpha) this far out.
     """
-    prof, k, ref = _radau_past_handoff(monkeypatch, n, alpha, t_max)
+    prof, k, ref = _radau_past_handoff(profile_of, n, alpha, t_max)
     np.testing.assert_allclose(prof.r[k + 2:], ref.y[0], rtol=1e-12, atol=0.0)
 
 
@@ -539,7 +553,7 @@ def _far_oracle_scaled(n, alpha, order):
         (2, 0.5, 24), (4, 1.0, 24), (5, 3.0, 24), (2, 0.15, 24),
     ],
 )
-def test_far_series_matches_high_precision(monkeypatch, n, alpha, order):
+def test_far_series_matches_high_precision(n, alpha, order):
     """Float64 far-field coefficients against a 50-digit recomputation.
 
     Every coefficient agrees to 1e-12 relative unless its error stays below
@@ -557,8 +571,8 @@ def test_far_series_matches_high_precision(monkeypatch, n, alpha, order):
     """
     u, w = _far_series(n, alpha, order)
     try:
-        _, explicit = _solve_recording_handoff(monkeypatch, ModelParams(n, alpha), 2000.0)
-        x_use = ((n - 1.0) / explicit[-1]) ** (2.0 / alpha)
+        prof = solve_profile(ModelParams(n, alpha), 2000.0, 1e-10)
+        x_use = ((n - 1.0) / prof.grid[prof.handoff]) ** (2.0 / alpha)
     except SolverError:
         assert (n, alpha) == (2, 0.15)
         x_use = None
@@ -598,7 +612,7 @@ def test_far_series_out_of_float_range_is_never_used():
 
 
 @pytest.mark.parametrize("n, alpha", [(2, 2.0), (3, 3.0)])
-def test_handoff_where_the_defect_matches_the_series(monkeypatch, n, alpha):
+def test_handoff_where_the_defect_matches_the_series(profile_of, n, alpha):
     """The handoff comes where z agrees with the series, not at the stability cap.
 
     These cells hand off at t of about 22 and 25, where the series has
@@ -606,8 +620,8 @@ def test_handoff_where_the_defect_matches_the_series(monkeypatch, n, alpha):
     relaxation rate reaches the stability cap only at t of about 151 on
     (2, 2), and not before t_max 200 on (3, 3).
     """
-    _, explicit = _solve_recording_handoff(monkeypatch, ModelParams(n, alpha))
-    assert explicit[-1] < 40.0
+    prof = profile_of(n, alpha)
+    assert prof.grid[prof.handoff] < 40.0
 
 
 def _capped_and_converged(params, tol, t, y, z):
@@ -617,7 +631,7 @@ def _capped_and_converged(params, tol, t, y, z):
     n, alpha = params.n, params.alpha
     m = n - 1.0
     c = alpha * m
-    rate_cap = _STIFFNESS_BUDGET / (1e-2 if alpha >= 1.0 else 3.25e-3)
+    rate_cap = _STIFFNESS_BUDGET / _default_spacing(alpha)
     dydz = t / (m * _slope_map_deriv(alpha, y))
     capped = n + c * (y * y + 2.0 * z * y * dydz) > rate_cap
     u, w = _far_series(n, alpha)
@@ -642,7 +656,7 @@ _OUTSIDE = {(2, 0.15), (2, 0.2)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 10, 15])
-def test_handoff_never_later_than_the_relaxed_gate(monkeypatch, n):
+def test_handoff_never_later_than_the_relaxed_gate(n):
     """On a seeded sweep every solve finishes, at a node that agrees with
     the series or with an error, never later than the stability cap.
 
@@ -659,13 +673,13 @@ def test_handoff_never_later_than_the_relaxed_gate(monkeypatch, n):
                 with pytest.raises(SolverError, match="limit"):
                     solve_profile(params, 200.0, tol)
                 continue
-            prof, explicit = _solve_recording_handoff(monkeypatch, params, 200.0, tol)
+            prof = solve_profile(params, 200.0, tol)
             assert np.all(np.isfinite(prof.r)) and np.all(np.isfinite(prof.phase_z))
-            k = np.searchsorted(prof.grid[1:], explicit)
-            t, y, z = prof.grid[1:][k], prof.dr[1:][k], prof.phase_z[k]
+            stepped = slice(prof.launch + 1, prof.handoff + 1)  # the explicit nodes
+            t, y, z = prof.grid[stepped], prof.dr[stepped], prof.phase_z[prof.launch:prof.handoff]
             gate, converged, z_series = _capped_and_converged(params, tol, t, y, z)
             assert not gate[:-1].any(), (alpha, tol, t[np.argmax(gate)])
-            if explicit[-1] < 200.0:
+            if prof.handoff < len(prof.grid) - 1:
                 rtol = _stepper_rtol(tol)
                 gap = abs(z[-1] - z_series[-1])
                 assert converged[-1] and gap <= atol + rtol * abs(z[-1]), (alpha, tol)
@@ -685,14 +699,14 @@ def test_stability_cap_off_the_series_raises(alpha, tol):
     assert "limit atol + rtol |z|" in message
 
 
-def test_cap_handoff_within_the_error_scale(monkeypatch):
+def test_cap_handoff_within_the_error_scale():
     """(15, 7) at tol 1e-12 never agrees to rtol before the cap (t of about
     1438 at t_max 2000) and hands off there, within atol + rtol |z|."""
     params = ModelParams(15, 7.0)
-    prof, explicit = _solve_recording_handoff(monkeypatch, params, 2000.0, 1e-12)
-    assert 1000.0 < explicit[-1] < 2000.0
-    k = int(np.flatnonzero(prof.grid[1:] == explicit[-1])[0])
-    t, y, z = prof.grid[1:][k], prof.dr[k + 1], prof.phase_z[k]
+    prof = solve_profile(params, 2000.0, 1e-12)
+    k = prof.handoff
+    t, y, z = prof.grid[k], prof.dr[k], prof.phase_z[k - 1]
+    assert 1000.0 < t < 2000.0
     gate, _, z_series = _capped_and_converged(
         params, 1e-12, np.array([t]), np.array([y]), np.array([z])
     )
@@ -701,30 +715,28 @@ def test_cap_handoff_within_the_error_scale(monkeypatch):
     assert gate[0] and rtol * abs(z) < gap <= 1e-13 + rtol * abs(z)
 
 
-def test_no_handoff_reaches_t_max(monkeypatch):
+def test_no_handoff_reaches_t_max():
     """(10, 10) at tol 1e-12 neither agrees nor reaches the cap before
     t_max 200: the explicit stretch runs to the end and keeps the phase
     contract."""
-    prof, explicit = _solve_recording_handoff(monkeypatch, ModelParams(10, 10.0), 200.0, 1e-12)
-    assert explicit[-1] == 200.0
+    prof = solve_profile(ModelParams(10, 10.0), 200.0, 1e-12)
+    assert prof.launch < prof.handoff == len(prof.grid) - 1
     phase_trajectory(prof)
 
 
 @pytest.mark.parametrize("t_max", [200.0, 2000.0])
-def test_series_degree_moves_no_handoff(monkeypatch, t_max):
+def test_series_degree_moves_no_handoff(monkeypatch, profile_of, t_max):
     """Degree 40 against degree 80: the same handoff node on every grid
     cell, and the nodes alike to the last digits (measured: r to 1.0e-15
     relative, z to 4.2e-16 absolute)."""
-    solves = {
-        cell: _solve_recording_handoff(monkeypatch, ModelParams(*cell), t_max) for cell in _GRID
-    }
+    solves = {cell: profile_of(*cell, t_max) for cell in _GRID}
     monkeypatch.setattr(
         profile_module, "series_coefficients", lambda p: series_module.series_coefficients(p, 40)
     )
-    for cell, (prof, explicit) in solves.items():
-        low, low_explicit = _solve_recording_handoff(monkeypatch, ModelParams(*cell), t_max)
+    for cell, prof in solves.items():
+        low = solve_profile(ModelParams(*cell), t_max, 1e-10)
         assert low.series.order == 40 and prof.series.order == 80
-        assert low_explicit[-1] == explicit[-1], cell
+        assert low.handoff == prof.handoff, cell
         np.testing.assert_allclose(low.r, prof.r, rtol=4e-15, atol=0.0, err_msg=str(cell))
         np.testing.assert_allclose(
             low.phase_z, prof.phase_z, rtol=0.0, atol=2e-15, err_msg=str(cell)

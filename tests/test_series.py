@@ -10,7 +10,6 @@ from helpers import (
     mp_series_coeffs_computed,
     mp_series_residual_slope,
     series_eval_loop,
-    solve_recording_launch,
 )
 from soliton_lab.model import ModelParams
 from soliton_lab.series import OriginSeries, series_coefficients, series_eval
@@ -43,7 +42,7 @@ def test_coefficients_match_high_precision_recursion(n, alpha, order):
 @pytest.mark.parametrize(
     "n, alpha", [(2, 0.15), (6, 0.5), (10, 10.0), (2, 5.0), (3, 2.0), (4, 1.0)]
 )
-def test_fixed_order_matches_high_precision_recursion(monkeypatch, n, alpha):
+def test_fixed_order_matches_high_precision_recursion(profile_of, n, alpha):
     """The default, highest-order series against the 50-digit recomputation.
 
     The solver evaluates every coefficient of this series out to t of a
@@ -60,9 +59,9 @@ def test_fixed_order_matches_high_precision_recursion(monkeypatch, n, alpha):
     assert s.order == 80
     u_use = r_use = None
     if (n, alpha) == (3, 2.0):
-        prof, t_launch = solve_recording_launch(monkeypatch, ModelParams(n, alpha))
-        u_use = t_launch * t_launch
-        r_use = prof.r[prof.grid == t_launch][0]
+        prof = profile_of(n, alpha)
+        u_use = prof.grid[prof.launch] ** 2
+        r_use = prof.r[prof.launch]
     oracle = mp_series_coeffs(n, alpha, s.order)
     for k, (a, b) in enumerate(zip(s.coeffs, oracle), start=1):
         err = abs(float(a - b))
