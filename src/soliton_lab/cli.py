@@ -18,7 +18,7 @@ from .asymptotics import fit_far_field
 from .model import ModelParams
 from .output import _fit_record, emit_report, profile_document, scan_document, table_document
 from .profile import SolverError, solve_profile
-from .verify import default_scan_geometry, run_battery, scan_gradient_bound
+from .verify import _require_radius, default_scan_geometry, run_battery, scan_gradient_bound
 
 __all__ = ["run_cli", "main"]
 
@@ -86,6 +86,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         _write(profile_document(profile, args.format), args.out)
         return 0
     if args.command == "verify":
+        _require_radius(args.tmax, "blow-down")  # the battery's first limit, before the solve
         profile = solve_profile(params, args.tmax, args.tol)
         reports = run_battery(profile)
         fit = fit_far_field(profile)

@@ -127,13 +127,13 @@ def _slope_map_deriv(alpha: float, y):
     return w ** ((alpha - 3.0) / 2.0) * (1.0 + alpha * y * y)
 
 
-def _invert_slope(alpha: float, v: float, seed: float | None = None) -> float:
+def _invert_slope(alpha: float, v: float) -> float:
     """Solve g(y) = v for y >= 0, given v >= 0.
 
-    Newton iteration inside a bisection bracket.  The default seed sits on
-    the monotone side of the root (g is convex on y > 0 for alpha >= 1 and
+    Newton iteration inside a bisection bracket.  The seed sits on the
+    monotone side of the root (g is convex on y > 0 for alpha >= 1 and
     concave for alpha <= 1), so the plain iteration already converges
-    monotonically; the bracket guards the last digits and bad seeds.
+    monotonically; the bracket guards the last digits.
     """
     if v == 0.0:
         return 0.0
@@ -142,18 +142,15 @@ def _invert_slope(alpha: float, v: float, seed: float | None = None) -> float:
     if is_log_branch(alpha):
         return v
 
-    if seed is None or seed <= 0.0 or not math.isfinite(seed):
-        # g(y) ~ y for small y and ~ y^alpha for large y, so v and
-        # v^(1/alpha) enclose the root from the same side.
-        if v > 1.0 and math.log(v) / alpha > _LOG_SLOPE_MAX:
-            raise ValueError(
-                f"slope map inversion overflows: g(y) = {v:g} needs y ~ v^(1/alpha) "
-                f"beyond float range for alpha = {alpha:g}"
-            )
-        guess = v ** (1.0 / alpha)
-        y = min(v, guess) if alpha > 1.0 else max(v, guess)
-    else:
-        y = seed
+    # g(y) ~ y for small y and ~ y^alpha for large y, so v and v^(1/alpha)
+    # enclose the root from the same side.
+    if v > 1.0 and math.log(v) / alpha > _LOG_SLOPE_MAX:
+        raise ValueError(
+            f"slope map inversion overflows: g(y) = {v:g} needs y ~ v^(1/alpha) "
+            f"beyond float range for alpha = {alpha:g}"
+        )
+    guess = v ** (1.0 / alpha)
+    y = min(v, guess) if alpha > 1.0 else max(v, guess)
 
     lo, hi = 0.0, math.inf
     for _ in range(120):

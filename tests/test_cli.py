@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import soliton_lab
+from soliton_lab import cli as cli_module
 from soliton_lab.cli import _build_parser, run_cli
 
 
@@ -140,6 +141,42 @@ def test_scan_gradient_non_finite_tmax_is_usage_error(capsys, t_max):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: gradient scan needs a finite t_max >= 4")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--n", "2", "--alpha", "1"],
+        ["verify", "--n", "2", "--alpha", "1"],
+        ["asymptotics", "--n", "3", "--alpha", "2"],
+        ["table"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("t_max", ["inf", "nan"])
+def test_non_finite_tmax_is_usage_error(capsys, argv, t_max):
+    """Every solving command refuses a radius that is not finite, naming
+    the value and the range it must lie in, and writes no document."""
+    code = run_cli([*argv, "--tmax", t_max])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: t_max must lie in (0.01, 10000], got {t_max}\n"
+    assert captured.out == ""
+
+
+def test_verify_refuses_a_short_radius_before_solving(monkeypatch, capsys):
+    """verify below the radius its blow-down and growth checks need exits 2
+    with their message, and never solves."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify solved before refusing t_max")
+
+    monkeypatch.setattr(cli_module, "solve_profile", no_solve)
+    code = run_cli(["verify", "--n", "2", "--alpha", "1", "--tmax", "50"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: blow-down check needs t_max >= 100\n"
     assert captured.out == ""
 
 

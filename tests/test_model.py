@@ -119,20 +119,18 @@ def test_g_invert_input_checks():
 
 
 def test_invert_slope_keeps_converged_iterate(monkeypatch):
-    """Seeded at or near the root, Newton stops once its step is spent.
+    """Newton stops once its step is spent, within 7 evaluations of g.
 
     A step below half an ulp leaves the iterate on the bracket edge it just
-    set; testing the bracket before convergence threw such an iterate away
-    (the first case took 7 evaluations of g, others over 30).
+    set; testing the bracket before convergence throws such an iterate
+    away and bisects on.  Over these 2,001 seeded cases the inversion takes
+    at most 7 evaluations of g, and the bracket-first order up to 36.
     """
     rng = np.random.default_rng(1)
-    cases = [(2.0, 1.4324744307757438, 1.0085775736096423)]
-    for _ in range(400):
+    cases = [(2.0, 1.4324744307757438)]
+    for _ in range(2000):
         alpha = float(rng.uniform(0.3, 4.0))
-        v = _slope_map(alpha, float(10.0 ** rng.uniform(-2.0, 5.0)))
-        root = _invert_slope(alpha, v)
-        cases.append((alpha, v, root))
-        cases.append((alpha, v, root * (1.0 + float(rng.uniform(-1e-6, 1e-6)))))
+        cases.append((alpha, _slope_map(alpha, float(10.0 ** rng.uniform(-2.0, 5.0)))))
     calls = []
 
     def counting(alpha, y):
@@ -140,10 +138,10 @@ def test_invert_slope_keeps_converged_iterate(monkeypatch):
         return _slope_map(alpha, y)
 
     monkeypatch.setattr(model_module, "_slope_map", counting)
-    for alpha, v, seed in cases:
+    for alpha, v in cases:
         calls.clear()
-        _invert_slope(alpha, v, seed)
-        assert len(calls) <= 4, (alpha, v, seed, len(calls))
+        _invert_slope(alpha, v)
+        assert len(calls) <= 7, (alpha, v, len(calls))
 
 
 def test_coeff_spot_values():

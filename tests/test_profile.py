@@ -143,20 +143,68 @@ def test_explicit_stretch_matches_reference(n, alpha):
     np.testing.assert_allclose(prof.r[1:k + 1], ref[0], rtol=1e-14, atol=0.0)
 
 
-def test_explicit_stretch_inverts_once_per_node(monkeypatch):
-    # Stages carry the slope; only the projection at each node the stepper
-    # lands on inverts g.  The origin series nodes need no inversion.
-    calls = []
-    invert = profile_module._invert_slope
+_GRID = [(n, a) for n in range(2, 7) for a in (0.5, 1.0, 2.0, 3.0)]
 
-    def counting(*args):
-        calls.append(args)
-        return invert(*args)
 
-    monkeypatch.setattr(profile_module, "_invert_slope", counting)
-    prof = solve_profile(ModelParams(3, 2.0), 5.0, 1e-10)
-    assert 1 < prof.launch < prof.handoff
-    assert len(calls) == prof.handoff - prof.launch
+def _constraint_residual(prof, dr):
+    """|(n - 1) g(dr) - (1 + z) t| / ((1 + z) t) at the explicit nodes of
+    ``prof``, with the slope ``dr`` (the profile's own, or a changed copy)."""
+    n = prof.params.n
+    k = np.arange(prof.launch + 1, prof.handoff + 1)
+    v = (1.0 + prof.phase_z[k - 1]) * prof.grid[k]
+    return np.abs((n - 1.0) * g_eval(dr[k], prof.params) - v) / v
+
+
+# Worst constraint residual at the explicit nodes, measured over the 60
+# cells of n {2, 3, 5, 7, 10} x alpha {0.15, ..., 10} at t_max 200 and
+# 2000 and tol 1e-10 and 1e-12: 1.7e-14, at (2, 0.3) and (3, 0.15); on the
+# 20 grid cells at t_max 200 it is 2.2e-15.  The stored slope is the one
+# the stepper carries, so it meets the constraint to the stepper's error;
+# the bound leaves 1.8 times the worst case.
+_CONSTRAINT_BOUND = 3e-14
+
+_CONSTRAINT_CELLS = [
+    (2, 0.3, 200.0, 1e-12), (3, 0.15, 2000.0, 1e-12), (3, 0.2, 2000.0, 1e-10),
+    (7, 10.0, 2000.0, 1e-10), (10, 10.0, 200.0, 1e-12),
+]
+
+
+def test_stored_slope_meets_the_constraint_to_the_stepper_error(profile_of):
+    """The carried slope stored at every explicit node satisfies
+    (n - 1) g(dr) = (1 + z) t to the bound above, on the grid and on a few
+    envelope cells, and one explicit dr moved by 1e-12 relative breaks it:
+    g moves by at least min(1, alpha) times that."""
+    solves = [profile_of(n, alpha) for n, alpha in _GRID]
+    solves += [
+        solve_profile(ModelParams(n, alpha), t_max, tol)
+        for n, alpha, t_max, tol in _CONSTRAINT_CELLS
+    ]
+    for prof in solves:
+        assert prof.launch < prof.handoff
+        worst = float(_constraint_residual(prof, prof.dr).max())
+        assert worst <= _CONSTRAINT_BOUND, (prof.params, worst)
+    for prof in (solves[0], solves[-4]):  # (2, 0.5) and (3, 0.15)
+        dr = prof.dr.copy()
+        k = (prof.launch + prof.handoff) // 2
+        dr[k] *= 1.0 + 1e-12
+        assert _constraint_residual(prof, dr).max() > _CONSTRAINT_BOUND, prof.params
+
+
+@pytest.mark.parametrize(
+    "t_max, counts", [(200.0, (17_537, 4_041, 8_547)), (2000.0, (17_532, 4_042, 15_541))]
+)
+def test_grid_regime_counts(profile_of, t_max, counts):
+    """Nodes per regime summed over the 20 grid cells at tol 1e-10: origin
+    series (up to and including the launch node), explicit and far series.
+
+    A change that moves a regime boundary changes these sums and has to
+    say so.  They do not move with numpy's SIMD level.
+    """
+    solves = [profile_of(n, alpha, t_max) for n, alpha in _GRID]
+    series = sum(p.launch for p in solves)
+    explicit = sum(p.handoff - p.launch for p in solves)
+    far = sum(len(p.grid) - 1 - p.handoff for p in solves)
+    assert (series, explicit, far) == counts
 
 
 @pytest.mark.parametrize("n, alpha", [(2, 5.0), (6, 0.5), (10, 0.3)])
@@ -192,9 +240,6 @@ def test_origin_series_stops_inside_its_radius(profile_of):
     # At (2, 5) the series' radius of convergence is about 1.19.
     prof = profile_of(2, 5.0)
     assert prof.grid[prof.launch] < 1.19
-
-
-_GRID = [(n, a) for n in range(2, 7) for a in (0.5, 1.0, 2.0, 3.0)]
 
 
 def test_origin_series_launches_past_t_1_5(profile_of):
