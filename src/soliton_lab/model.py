@@ -95,29 +95,32 @@ def g_eval(y, params: ModelParams):
     if is_log_branch(a):
         out = y.copy()
     else:
-        out = _slope_map_array(a, y)
+        out = np.array(_slope_map(a, y.ravel().tolist()), dtype=float).reshape(y.shape)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _slope_map(alpha: float, y: float) -> float:
-    """The slope map g at a scalar y; the one definition every caller uses.
+def _slope_map(alpha: float, ys: list[float]) -> list[float]:
+    """The slope map g at each Python float of ys; the one definition every
+    caller uses, a scalar caller with a one-element list.
 
     For alpha < 1 the factor (1 + y^2)^((alpha-1)/2) decreases, so the
     product y (1 + y^2)^((alpha-1)/2) can round out of order for large y.
     There g is written as |y|^alpha (1 + y^-2)^((alpha-1)/2), whose factors
     are both nondecreasing in |y|, so correctly rounded pow keeps the
     product in order.  The sign is attached last, which keeps g exactly odd.
+    Each element is Python's scalar pow: numpy's array pow rounds
+    differently by SIMD target, and g here must not.
     """
-    if alpha < 1.0 and abs(y) > 1.0:
-        return math.copysign(
-            abs(y) ** alpha * (1.0 + 1.0 / (y * y)) ** ((alpha - 1.0) / 2.0), y
-        )
-    return y * (1.0 + y * y) ** ((alpha - 1.0) / 2.0)
-
-
-_slope_map_array = np.vectorize(_slope_map, otypes=[float])
+    e = (alpha - 1.0) / 2.0
+    if alpha < 1.0:
+        return [
+            math.copysign(abs(y) ** alpha * (1.0 + 1.0 / (y * y)) ** e, y)
+            if abs(y) > 1.0 else y * (1.0 + y * y) ** e
+            for y in ys
+        ]
+    return [y * (1.0 + y * y) ** e for y in ys]
 
 
 def _slope_map_deriv(alpha: float, y):
@@ -154,7 +157,7 @@ def _invert_slope(alpha: float, v: float) -> float:
 
     lo, hi = 0.0, math.inf
     for _ in range(120):
-        f = _slope_map(alpha, y) - v
+        f = _slope_map(alpha, [y])[0] - v
         if f == 0.0:
             return y
         if f < 0.0:

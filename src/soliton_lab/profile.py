@@ -57,8 +57,9 @@ integrates exactly from the handoff node, where the radius is matched
 Mathematical Methods, ch. 9).
 
 Grid nodes are exact integrator step endpoints in the explicit stretch:
-the stepper is advanced node to node on a grid uniform in s = log t,
-from the last origin-series node.
+the node loop of :func:`solve_profile` runs DOP853's accept/reject loop on
+Python floats up to each node of a grid uniform in s = log t, from the
+last origin-series node, and clips the last step to land on it.
 Dense-output interpolants carry enough wiggle to ruin finite-difference
 residual diagnostics downstream, step endpoints do not.
 """
@@ -171,15 +172,19 @@ class _CarriedSlopeStepper:
 
     which is r'' in defect form.  Carrying y costs one pow per stage where
     recovering it from z costs a bracketed Newton inversion.  The error
-    norm, the controller and the initial step are those of the standard
-    DOP853 code applied to (r, z) alone: y takes no part in step-size
-    control.  Each node's y is the one the last step returned, and the
-    next step starts from that state and its rhs, so the constraint holds
-    to the stepper's error (at most 1.7e-14 relative on the surveyed
-    range).  Projecting y back onto it by an inversion at every node
-    (Hairer, Lubich and Wanner, Geometric Numerical Integration, IV.4)
-    moved r by at most 7.4e-14 relative and changed no check's verdict,
-    so the stepper does not.  One instance serves one solve.
+    norm and the initial step are those of the standard DOP853 code
+    applied to (r, z) alone: y takes no part in step-size control.  One
+    instance serves one solve: it holds the tableau's parameters, the
+    starting state, its rhs ``f`` and the initial step ``h_abs``, and
+    :func:`solve_profile` takes steps with :meth:`_rk_step` and runs the
+    standard controller on them in its node loop, so the state lives in
+    that loop's locals.  Each node's y is the one the last step returned,
+    and the next step starts from that state and its rhs, so the
+    constraint holds to the stepper's error (at most 1.7e-14 relative on
+    the surveyed range).  Projecting y back onto it by an inversion at
+    every node (Hairer, Lubich and Wanner, Geometric Numerical
+    Integration, IV.4) moved r by at most 7.4e-14 relative and changed no
+    check's verdict, so the stepper does not.
 
     The state is three Python floats, where array arithmetic costs more
     than it saves, and :meth:`_rk_step` is straight-line code with the
@@ -398,41 +403,6 @@ class _CarriedSlopeStepper:
             error_norm = abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
         return (r_new, z_new, y_new), f_new, error_norm
 
-    def advance_to(self, t_target):
-        """Take accepted steps until t_target is reached exactly."""
-        t, r, z, y, f, h_abs = self.t, self.r, self.z, self.y, self.f, self.h_abs
-        while t < t_target:
-            min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-            h_abs = max(h_abs, min_step)
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    raise SolverError(
-                        f"integration failed near t = {t:.6g}: required step "
-                        "size is less than spacing between numbers"
-                    )
-                t_new = min(t + h_abs, t_target)
-                h_abs = t_new - t
-                try:
-                    state, f_new, error_norm = self._rk_step(t, r, z, y, f, h_abs)
-                except OverflowError:
-                    # A trial stage left float range; shrink like any
-                    # rejected step and let the minimum step decide.
-                    error_norm = math.inf
-                if error_norm < 1.0:
-                    if error_norm == 0.0:
-                        factor = _MAX_FACTOR
-                    else:
-                        factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT)
-                    if rejected:
-                        factor = min(1.0, factor)
-                    h_abs *= factor
-                    break
-                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
-                rejected = True
-            t, (r, z, y), f = t_new, state, f_new
-        self.t, self.r, self.z, self.y, self.f, self.h_abs = t, r, z, y, f, h_abs
-
 
 def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
     """Coefficients of the slow manifold as power series in x = ((n-1)/t)^(2/alpha).
@@ -488,13 +458,15 @@ def _series_sum(c, x, cut):
     everywhere when the last coefficient is not, so a series that
     overflows at x or whose coefficients left float range is never used.
     The sum is returned everywhere, so a caller fills its nodes from it.
+    A stack c of shape (order + 1, m, 1) sums m series of one order in
+    one Horner pass (see :func:`~soliton_lab.series._polyval`); the sums
+    and ``resolved`` then have a row per series.
     """
+    last = c[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         total = _polyval(x, c)
-        if not math.isfinite(c[-1]):
-            return total, np.zeros(np.shape(x), dtype=bool)
-        return total, np.isfinite(total) & (
-            np.abs(c[-1]) * x ** (len(c) - 1) <= cut * np.abs(total)
+        return total, np.isfinite(last) & np.isfinite(total) & (
+            np.abs(last) * x ** (len(c) - 1) <= cut * np.abs(total)
         )
 
 
@@ -519,37 +491,6 @@ def _second_and_third(alpha: float, t, y, z, big_f):
     f2 = -z * wp
     f3 = wp * (big_f / t + (3.0 - alpha) * y * z * z * wp / w)
     return f2, f3
-
-
-# quintic Hermite basis on [0, 1]: value, first and second derivative
-# matched at both ends; cubic basis for the second-derivative channel.
-
-def _quintic(tau, h, f0, d0, c0, f1, d1, c1):
-    t2 = tau * tau
-    t3 = t2 * tau
-    t4 = t3 * tau
-    t5 = t4 * tau
-    h00 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
-    h10 = tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
-    h20 = 0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5)
-    h01 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-    h11 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
-    h21 = 0.5 * (t3 - 2.0 * t4 + t5)
-    return (
-        f0 * h00 + h * d0 * h10 + h * h * c0 * h20
-        + f1 * h01 + h * d1 * h11 + h * h * c1 * h21
-    )
-
-
-def _cubic(tau, h, f0, d0, f1, d1):
-    t2 = tau * tau
-    t3 = t2 * tau
-    return (
-        f0 * (2.0 * t3 - 3.0 * t2 + 1.0)
-        + h * d0 * (t3 - 2.0 * t2 + tau)
-        + f1 * (-2.0 * t3 + 3.0 * t2)
-        + h * d1 * (t3 - t2)
-    )
 
 
 @dataclass(eq=False)
@@ -580,6 +521,9 @@ class RadialProfile:
     dddr: np.ndarray = field(repr=False)
     launch: int
     handoff: int
+    # The far-field series (u, w) of _far_series, kept so that a second
+    # solve of the same params need not run its recursion again.
+    _far: tuple = field(default=None, repr=False)
 
     @property
     def t_max(self) -> float:
@@ -606,51 +550,67 @@ class RadialProfile:
             )
         t_flat = np.minimum(t_flat, self.t_max)
 
-        r_out = np.empty_like(t_flat)
-        dr_out = np.empty_like(t_flat)
-        ddr_out = np.empty_like(t_flat)
-
         far = t_flat >= self.grid[1]
-        origin = t_flat == 0.0
-        r_out[origin] = self.r[0]
-        dr_out[origin] = self.dr[0]
-        ddr_out[origin] = self.ddr[0]
-        near = ~(far | origin)
-        if near.any():
-            rs, ds, cs = series_eval(self.series, t_flat[near])
-            r_out[near] = rs
-            dr_out[near] = ds
-            ddr_out[near] = cs
-
-        if far.any():
-            tq = t_flat[far]
-            k = np.searchsorted(self.grid, tq, side="right") - 1
-            k = np.clip(k, 1, len(self.grid) - 2)
-            t0 = self.grid[k]
-            t1 = self.grid[k + 1]
-            h = t1 - t0
-            tau = (tq - t0) / h
-            j = k - 1  # index into the node-only arrays (dddr, phase_z)
-            r_out[far] = _quintic(
-                tau, h,
-                self.r[k], self.dr[k], self.ddr[k],
-                self.r[k + 1], self.dr[k + 1], self.ddr[k + 1],
-            )
-            dr_out[far] = _quintic(
-                tau, h,
-                self.dr[k], self.ddr[k], self.dddr[j],
-                self.dr[k + 1], self.ddr[k + 1], self.dddr[j + 1],
-            )
-            ddr_out[far] = _cubic(
-                tau, h,
-                self.ddr[k], self.dddr[j],
-                self.ddr[k + 1], self.dddr[j + 1],
-            )
+        if far.all():
+            r_out, dr_out, ddr_out = self._hermite(t_flat)
+        else:
+            r_out = np.empty_like(t_flat)
+            dr_out = np.empty_like(t_flat)
+            ddr_out = np.empty_like(t_flat)
+            origin = t_flat == 0.0
+            r_out[origin] = self.r[0]
+            dr_out[origin] = self.dr[0]
+            ddr_out[origin] = self.ddr[0]
+            near = ~(far | origin)
+            if near.any():
+                r_out[near], dr_out[near], ddr_out[near] = series_eval(
+                    self.series, t_flat[near]
+                )
+            if far.any():
+                r_out[far], dr_out[far], ddr_out[far] = self._hermite(t_flat[far])
 
         if scalar:
             return float(r_out[0]), float(dr_out[0]), float(ddr_out[0])
         shape = t_arr.shape
         return r_out.reshape(shape), dr_out.reshape(shape), ddr_out.reshape(shape)
+
+    def _hermite(self, tq):
+        """(r, dr, ddr) at points tq >= grid[1], from the nodes around each.
+
+        r and dr are quintic Hermite interpolants, matching the value and
+        first two derivatives at both nodes; ddr is the cubic one, matching
+        ddr and dddr.  The six quintic basis values on [0, 1], and the
+        powers of tau the cubic reads, are formed once for all three.
+        """
+        k = np.searchsorted(self.grid, tq, side="right") - 1
+        k = np.clip(k, 1, len(self.grid) - 2)
+        t0 = self.grid[k]
+        h = self.grid[k + 1] - t0
+        tau = (tq - t0) / h
+        hh = h * h
+        t2 = tau * tau
+        t3 = t2 * tau
+        t4 = t3 * tau
+        t5 = t4 * tau
+        h00 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
+        h10 = tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
+        h20 = 0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5)
+        h01 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
+        h11 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
+        h21 = 0.5 * (t3 - 2.0 * t4 + t5)
+        r0, r1 = self.r[k], self.r[k + 1]
+        d0, d1 = self.dr[k], self.dr[k + 1]
+        c0, c1 = self.ddr[k], self.ddr[k + 1]
+        e0, e1 = self.dddr[k - 1], self.dddr[k]  # dddr has no axis entry
+        r = r0 * h00 + h * d0 * h10 + hh * c0 * h20 + r1 * h01 + h * d1 * h11 + hh * c1 * h21
+        dr = d0 * h00 + h * c0 * h10 + hh * e0 * h20 + d1 * h01 + h * c1 * h11 + hh * e1 * h21
+        ddr = (
+            c0 * (2.0 * t3 - 3.0 * t2 + 1.0)
+            + h * e0 * (t3 - 2.0 * t2 + tau)
+            + c1 * (-2.0 * t3 + 3.0 * t2)
+            + h * e1 * (t3 - t2)
+        )
+        return r, dr, ddr
 
 
 def solve_profile(
@@ -660,6 +620,7 @@ def solve_profile(
     *,
     switch_radius: float = 1e-2,
     grid_spacing: float | None = None,
+    _series_from: RadialProfile | None = None,
 ) -> RadialProfile:
     """Construct the radial profile on [0, t_max].
 
@@ -710,6 +671,11 @@ def solve_profile(
     switch_radius, grid_spacing
         The first node of the lattice and its spacing in log t; see
         above for the default spacing and the residual it leaves.
+    _series_from
+        A solved profile whose origin and far-field series coefficients
+        this solve takes over instead of running both recursions again,
+        if they were computed for the same params: they depend on
+        (n, alpha) alone.
 
     Raises
     ------
@@ -744,45 +710,51 @@ def solve_profile(
             f"for alpha = {alpha:g}; lower t_max"
         )
 
-    series = series_coefficients(params)
+    donor = _series_from
+    if donor is not None and donor._far is not None and donor.series.params == params:
+        series, (u_far, w_far) = donor.series, donor._far
+    else:
+        series, (u_far, w_far) = series_coefficients(params), _far_series(n, alpha)
     t0 = float(switch_radius)
     n_seg = max(int(math.ceil((math.log(t_max) - math.log(t0)) / grid_spacing)), 32)
     s_nodes = np.linspace(math.log(t0), math.log(t_max), n_seg + 1)
-    t_nodes = np.exp(s_nodes)
+    t_nodes = np.exp(s_nodes).tolist()
     t_nodes[0] = t0
     t_nodes[-1] = t_max
+    grid = np.array([0.0] + t_nodes)
+    t_arr = grid[1:]
 
     # The origin series fills every node it resolves to float precision,
     # up to the first node where the last term of r or of r' exceeds 1e-16
     # of the sum.  r = u A(u) and r' = 2 t B(u) with u = t^2, where A and
-    # B have coefficients a_k and k a_k (as in series_eval, bit for bit).
+    # B have coefficients a_k and k a_k (as in series_eval, bit for bit),
+    # summed together as one stack.
     # The test runs chunk by chunk, over t up to 4, then up to 16, 64 and
     # so on, and stops at its first failure, which lies at t of 1.6 to 5.9
     # on the n 2..6 grid, so a quarter of its cells sum a second chunk; each
     # chunk's sums fill its nodes.  The stepper launches from the last node
     # the series fills, node 0 at the least.
     a = np.array(series.coeffs)
-    da = a * np.arange(1.0, len(a) + 1.0)
+    origin_stack = np.stack((a, a * np.arange(1.0, len(a) + 1.0)), axis=1)[:, :, None]
     r_nodes = np.empty(n_seg + 1)
     z_nodes = np.empty(n_seg + 1)
     y_nodes = np.empty(n_seg + 1)
     first_miss, start, t_bound = n_seg + 1, 0, 4.0
     while start <= n_seg:
-        stop = int(np.searchsorted(t_nodes, t_bound, side="right"))
-        t_chunk = t_nodes[start:stop]
+        stop = int(np.searchsorted(t_arr, t_bound, side="right"))
+        t_chunk = t_arr[start:stop]
         u = t_chunk * t_chunk
-        r_sum, r_resolved = _series_sum(a, u, 1e-16)
-        y_sum, y_resolved = _series_sum(da, u, 1e-16)
+        (r_sum, y_sum), resolved = _series_sum(origin_stack, u, 1e-16)
         r_nodes[start:stop] = u * r_sum
         y_nodes[start:stop] = 2.0 * t_chunk * y_sum
-        resolved = r_resolved & y_resolved
+        resolved = resolved[0] & resolved[1]
         if not resolved.all():
             first_miss = start + int(np.argmin(resolved))
             break
         start, t_bound = stop, 4.0 * t_bound
     launch = max(first_miss - 1, 0)
     near = slice(0, launch + 1)
-    z_nodes[near] = (n - 1.0) * g_eval(y_nodes[near], params) / t_nodes[near] - 1.0
+    z_nodes[near] = (n - 1.0) * g_eval(y_nodes[near], params) / t_arr[near] - 1.0
 
     rtol = _stepper_rtol(tol)
     # Absolute floor for the defect channel z.  Downstream consumers need
@@ -791,45 +763,87 @@ def solve_profile(
     atol = 1e-13
     if launch < n_seg:
         stepper = _CarriedSlopeStepper(
-            n, alpha, float(t_nodes[launch]), float(r_nodes[launch]),
+            n, alpha, t_nodes[launch], float(r_nodes[launch]),
             float(z_nodes[launch]), float(y_nodes[launch]), t_max, rtol=rtol, atol=atol,
         )
+        step = stepper._rk_step
+        t, r, z, y, f, h_abs = stepper.t, stepper.r, stepper.z, stepper.y, stepper.f, stepper.h_abs
 
     m = float(n - 1)
     c = alpha * m
     rate_cap = _STIFFNESS_BUDGET / grid_spacing
-    # The far-field series at every node past the launch, summed once: x,
-    # the sums of U and W, where both have converged, and the series z.
-    # Node k is at index k - launch - 1.
-    u_far, w_far = _far_series(n, alpha)
-    x_far = (m / t_nodes[launch + 1:]) ** (2.0 / alpha)
-    far_cut = _FAR_CUT * rtol
-    u_sum, u_resolved = _series_sum(u_far, x_far, far_cut)
-    w_sum, w_resolved = _series_sum(w_far, x_far, far_cut)
+    # The far-field series at every node past the launch, summed once in
+    # one stack: U and W, the integral of the slope and F (see the tail
+    # below).  Node k is at index k - launch - 1.  Where U and W have both
+    # converged the series z is used.
+    powers = np.arange(len(u_far))
+    e = 1.0 + (1.0 - 2.0 * powers) / alpha
+    kr = int(np.argmin(np.abs(e)))
+    far_stack = np.stack(
+        (u_far, w_far, u_far / np.where(powers == kr, np.inf, e), w_far * (powers + 1.0)),
+        axis=1,
+    )[:, :, None]
+    x_far = (m / t_arr[launch + 1:]) ** (2.0 / alpha)
+    (u_sum, w_sum, integral_sum, f_sum), far_resolved = _series_sum(
+        far_stack, x_far, _FAR_CUT * rtol
+    )
     with np.errstate(over="ignore"):  # where the sums diverge; never read there
         z_far = -x_far * w_sum / c
-    converged, z_series = (u_resolved & w_resolved).tolist(), z_far.tolist()
+    converged = (far_resolved[0] & far_resolved[1]).tolist()
+    z_series = z_far.tolist()
+    # The explicit stretch: DOP853's accept/reject loop up to each node,
+    # the last step clipped to land on it, then the handoff test there.
+    # Its nodes are collected as Python floats.
+    r_ex, z_ex, y_ex = [], [], []
     tail = n_seg + 1  # first far-series node; past the end until the handoff
     for k in range(launch + 1, n_seg + 1):
-        tk = float(t_nodes[k])
-        stepper.advance_to(tk)
-        rk, zk, yk = stepper.r, stepper.z, stepper.y
-        if not (math.isfinite(rk) and math.isfinite(zk) and math.isfinite(yk)):
+        tk = t_nodes[k]
+        while t < tk:
+            min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise SolverError(
+                        f"integration failed near t = {t:.6g}: required step "
+                        "size is less than spacing between numbers"
+                    )
+                t_new = min(t + h_abs, tk)
+                h_abs = t_new - t
+                try:
+                    state, f_new, error_norm = step(t, r, z, y, f, h_abs)
+                except OverflowError:
+                    # A trial stage left float range; shrink like any
+                    # rejected step and let the minimum step decide.
+                    error_norm = math.inf
+                if error_norm < 1.0:
+                    if error_norm == 0.0:
+                        factor = _MAX_FACTOR
+                    else:
+                        factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+                    if rejected:
+                        factor = min(1.0, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+                rejected = True
+            t, (r, z, y), f = t_new, state, f_new
+        if not (math.isfinite(r) and math.isfinite(z) and math.isfinite(y)):
             raise SolverError(f"non-finite state at t = {tk:.6g}")
-        r_nodes[k] = rk
-        z_nodes[k] = zk
-        y_nodes[k] = yk
+        r_ex.append(r)
+        z_ex.append(z)
+        y_ex.append(y)
         if k == n_seg:
             break
         j = k - launch - 1
         if not converged[j]:
             continue
-        gap = abs(zk - z_series[j])
-        if gap > rtol * abs(zk):
-            dydz = tk / (m * _slope_map_deriv(alpha, yk))
-            if not n + c * (yk * yk + 2.0 * zk * yk * dydz) > rate_cap:
+        gap = abs(z - z_series[j])
+        if gap > rtol * abs(z):
+            dydz = tk / (m * _slope_map_deriv(alpha, y))
+            if not n + c * (y * y + 2.0 * z * y * dydz) > rate_cap:
                 continue
-            limit = atol + rtol * abs(zk)
+            limit = atol + rtol * abs(z)
             if gap > limit:
                 raise SolverError(
                     f"(n, alpha) = ({n}, {alpha:g}) is outside the supported range: at "
@@ -839,6 +853,10 @@ def solve_profile(
                 )
         tail = k + 1
         break
+    explicit = slice(launch + 1, tail)
+    r_nodes[explicit] = r_ex
+    z_nodes[explicit] = z_ex
+    y_nodes[explicit] = y_ex
 
     big_f = np.empty(n_seg + 1)
     if tail <= n_seg:
@@ -853,24 +871,20 @@ def solve_profile(
         # there, since c y^2 z -> -1.
         h = tail - 1
         x_h = x_far[h - launch - 1:]  # nodes h onward
-        powers = np.arange(len(u_far))
-        e = 1.0 + (1.0 - 2.0 * powers) / alpha
-        kr = int(np.argmin(np.abs(e)))
-        lead = (t_nodes[h:] / m) ** (1.0 / alpha)
+        lead = (t_arr[h:] / m) ** (1.0 / alpha)
         y_nodes[tail:] = lead[1:] * u_sum[h - launch:]
         z_nodes[tail:] = z_far[h - launch:]
-        t_lead = t_nodes[h:] * lead  # t y_k = t_lead u_k x^k
-        integral = t_lead * _polyval(x_h, u_far / np.where(powers == kr, np.inf, e))
-        log_t = np.log(t_nodes[tail:] / t_nodes[h])
+        t_lead = t_arr[h:] * lead  # t y_k = t_lead u_k x^k
+        integral = t_lead * integral_sum[h - launch - 1:]
+        log_t = np.log(t_arr[tail:] / t_nodes[h])
         factor = log_t if e[kr] == 0.0 else np.expm1(e[kr] * log_t) / e[kr]
         resonant = t_lead[0] * u_far[kr] * x_h[0] ** kr * factor
         r_nodes[tail:] = r_nodes[h] + (integral[1:] - integral[0]) + resonant
-        big_f[tail:] = -2.0 * x_h[1:] / (alpha * c) * _polyval(x_h[1:], w_far * (powers + 1.0))
+        big_f[tail:] = -2.0 * x_h[1:] / (alpha * c) * f_sum[h - launch:]
     y, z = y_nodes[:tail], z_nodes[:tail]
     big_f[:tail] = 1.0 + (n + c * y * y) * z
-    ddr_nodes, dddr_nodes = _second_and_third(alpha, t_nodes, y_nodes, z_nodes, big_f)
+    ddr_nodes, dddr_nodes = _second_and_third(alpha, t_arr, y_nodes, z_nodes, big_f)
 
-    grid = np.concatenate(([0.0], t_nodes))
     r = np.concatenate(([0.0], r_nodes))
     dr = np.concatenate(([0.0], y_nodes))
     ddr = np.concatenate(([2.0 * series.coeffs[0]], ddr_nodes))
@@ -887,5 +901,6 @@ def solve_profile(
         dddr=dddr_nodes,
         launch=launch + 1,  # grid has the axis in front of t_nodes
         handoff=tail,
+        _far=(u_far, w_far),
     )
 

@@ -121,8 +121,15 @@ def _polyval(x, c):
     in its order, so the result is bitwise the same, without importing
     numpy.polynomial.  Every series sum in the package goes through here.
     The sum is formed in place, in a fresh array that no caller holds.
+    The axes of c past the first broadcast against x, so series that share
+    x are summed in one pass: c of shape (order + 1, m, 1) at x of shape
+    (N,) gives m rows of N sums, each the same bits as its series alone.
+    x is then copied out to the shape of the sums, since numpy multiplies
+    arrays of one shape faster than it broadcasts.
     """
     total = c[-1] + x * 0
+    if np.shape(total) != np.shape(x):
+        x = np.broadcast_to(x, total.shape).copy()
     for ck in c[-2::-1]:
         total *= x
         total += ck

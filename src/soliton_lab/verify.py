@@ -203,15 +203,25 @@ def check_convexity(profile: RadialProfile) -> CheckReport:
 # scaling checks
 # ----------------------------------------------------------------------
 
+def _blow_down_gaps(profile: RadialProfile, scales, samples: int = 513) -> list[float]:
+    """The blow-down gap of :func:`blow_down_deviation` at each scale, from
+    one ``evaluate`` call over every scale's samples."""
+    leading, _ = expected_coefficients(profile.params)
+    p, _ = _powers(profile.params.alpha)
+    tau = np.linspace(0.0, 1.0, samples)
+    limit = leading * tau ** p
+    rr = profile.evaluate(np.concatenate([h * tau for h in scales]))[0]
+    return [
+        float(np.abs(rr_h / h ** p - limit).max())
+        for h, rr_h in zip(scales, rr.reshape(len(scales), samples))
+    ]
+
+
 def blow_down_deviation(profile: RadialProfile, h: float, samples: int = 513) -> float:
     """sup over t in [0,1] of the blow-down gap |h^{-p} r(h t) - L t^p|."""
     if h <= 0.0:
         raise ValueError("blow-down scale h must be positive")
-    leading, _ = expected_coefficients(profile.params)
-    p, _ = _powers(profile.params.alpha)
-    tau = np.linspace(0.0, 1.0, samples)
-    rr = profile.evaluate(h * tau)[0]
-    return float(np.abs(rr / h ** p - leading * tau ** p).max())
+    return _blow_down_gaps(profile, [h], samples)[0]
 
 
 def check_blow_down(profile: RadialProfile) -> CheckReport:
@@ -227,8 +237,7 @@ def check_blow_down(profile: RadialProfile) -> CheckReport:
     _require_radius(h, "blow-down")
     params = profile.params
     alpha = params.alpha
-    dev = blow_down_deviation(profile, h)
-    dev_half = blow_down_deviation(profile, h / 2.0)
+    dev, dev_half = _blow_down_gaps(profile, [h, h / 2.0])
     if is_log_branch(alpha):
         tol = 10.0 * math.log(h) / (h * h)
     else:
@@ -348,6 +357,8 @@ def check_refinement_agreement(profile: RadialProfile) -> CheckReport:
     every node; each solve's stepper starts where its own origin series
     ends, at ``grid[launch]``.  Below tol 3e-12 both solves step at the
     solver's rtol floor, so the shifted lattice is their only difference.
+    The finer solve takes over the profile's series coefficients, which
+    depend on (n, alpha) alone.
     Metric is the sup over the coarse grid of |r_a - r_b| / (1 + |r_a|);
     r reaches 1e4 and beyond, so only the relative form is meaningful
     against 100*tol.
@@ -355,7 +366,7 @@ def check_refinement_agreement(profile: RadialProfile) -> CheckReport:
     tol = profile.tol
     fine = solve_profile(
         profile.params, profile.t_max, max(tol / 10.0, _TOL_MIN),
-        switch_radius=profile.grid[1] / 2.0,
+        switch_radius=profile.grid[1] / 2.0, _series_from=profile,
     )
     t = profile.grid[1:]
     ra = profile.r[1:]

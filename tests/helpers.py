@@ -6,8 +6,10 @@ measurements (the residual of the degree-8 truncation is ~1e-24 at
 t = 1e-3, far beneath double precision).  Its degree-80 results for the
 cells the tests check in full are stored as test data; run this file
 (``PYTHONPATH=src python tests/helpers.py``) to write them again.  The
-DOP853 oracle is the loop form of one step, driven by scipy's tables, and
-the origin-series oracle the loop form of ``series_eval``.
+DOP853 oracle is the loop form of one step, driven by scipy's tables, the
+origin-series oracle the loop form of ``series_eval``, and the
+interpolation oracle ``RadialProfile.evaluate`` with one Hermite basis per
+channel.
 """
 
 import functools
@@ -342,6 +344,68 @@ def series_eval_loop(series, t):
         if k >= 2:
             ddr_uu = ddr_uu * u + a * k * (k - 1.0)
     return r * u, 2.0 * t_arr * dr_du, 2.0 * dr_du + 4.0 * u * ddr_uu
+
+
+# quintic Hermite basis on [0, 1]: value, first and second derivative
+# matched at both ends; cubic basis for the second-derivative channel.
+
+def _quintic(tau, h, f0, d0, c0, f1, d1, c1):
+    t2 = tau * tau
+    t3 = t2 * tau
+    t4 = t3 * tau
+    t5 = t4 * tau
+    h00 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
+    h10 = tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
+    h20 = 0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5)
+    h01 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
+    h11 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
+    h21 = 0.5 * (t3 - 2.0 * t4 + t5)
+    return (
+        f0 * h00 + h * d0 * h10 + h * h * c0 * h20
+        + f1 * h01 + h * d1 * h11 + h * h * c1 * h21
+    )
+
+
+def _cubic(tau, h, f0, d0, f1, d1):
+    t2 = tau * tau
+    t3 = t2 * tau
+    return (
+        f0 * (2.0 * t3 - 3.0 * t2 + 1.0)
+        + h * d0 * (t3 - 2.0 * t2 + tau)
+        + f1 * (-2.0 * t3 + 3.0 * t2)
+        + h * d1 * (t3 - t2)
+    )
+
+
+def evaluate_oracle(profile, t):
+    """(r, dr, ddr) of a profile at the points t, a 1-D array in [0, t_max].
+
+    The reference for ``RadialProfile.evaluate``: node 0 at t = 0, the
+    origin series below ``grid[1]``, and past it two quintic Hermite
+    interpolants (r, and dr) and a cubic one (ddr), each forming its own
+    basis.
+    """
+    from soliton_lab.series import series_eval
+
+    t = np.asarray(t, dtype=float)
+    r_out, dr_out, ddr_out = (np.empty_like(t) for _ in range(3))
+    far = t >= profile.grid[1]
+    origin = t == 0.0
+    r_out[origin], dr_out[origin], ddr_out[origin] = profile.r[0], profile.dr[0], profile.ddr[0]
+    near = ~(far | origin)
+    if near.any():
+        r_out[near], dr_out[near], ddr_out[near] = series_eval(profile.series, t[near])
+    tq = t[far]
+    k = np.clip(np.searchsorted(profile.grid, tq, side="right") - 1, 1, len(profile.grid) - 2)
+    t0 = profile.grid[k]
+    h = profile.grid[k + 1] - t0
+    tau = (tq - t0) / h
+    j = k - 1  # index into the node-only dddr
+    r, dr, ddr, dddr = profile.r, profile.dr, profile.ddr, profile.dddr
+    r_out[far] = _quintic(tau, h, r[k], dr[k], ddr[k], r[k + 1], dr[k + 1], ddr[k + 1])
+    dr_out[far] = _quintic(tau, h, dr[k], ddr[k], dddr[j], dr[k + 1], ddr[k + 1], dddr[j + 1])
+    ddr_out[far] = _cubic(tau, h, ddr[k], dddr[j], ddr[k + 1], dddr[j + 1])
+    return r_out, dr_out, ddr_out
 
 
 if __name__ == "__main__":

@@ -37,6 +37,25 @@ def test_solve_out_file(tmp_path, capsys):
     assert target.read_text().startswith("t,r,dr,ddr\n")
 
 
+def test_verify_carries_nothing_between_calls(capsys):
+    """``verify`` on cells A, B, A in one process prints A's bytes both
+    times, and B's bytes are those of B alone in a fresh process."""
+    cells = {"A": ["--n", "3", "--alpha", "2"], "B": ["--n", "2", "--alpha", "0.5"]}
+    printed = []
+    for cell in ("A", "B", "A"):
+        assert run_cli(["verify", *cells[cell], "--format", "json"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[2]
+    src = str(Path(soliton_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    alone = subprocess.run(
+        [sys.executable, "-m", "soliton_lab", "verify", *cells["B"], "--format", "json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert alone.returncode == 0, alone.stderr
+    assert alone.stdout == printed[1]
+
+
 def test_missing_flag_is_usage_error(capsys):
     code = run_cli(["solve", "--n", "2"])
     assert code == 2

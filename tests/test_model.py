@@ -130,12 +130,12 @@ def test_invert_slope_keeps_converged_iterate(monkeypatch):
     cases = [(2.0, 1.4324744307757438)]
     for _ in range(2000):
         alpha = float(rng.uniform(0.3, 4.0))
-        cases.append((alpha, _slope_map(alpha, float(10.0 ** rng.uniform(-2.0, 5.0)))))
+        cases.append((alpha, _slope_map(alpha, [float(10.0 ** rng.uniform(-2.0, 5.0))])[0]))
     calls = []
 
-    def counting(alpha, y):
-        calls.append(y)
-        return _slope_map(alpha, y)
+    def counting(alpha, ys):
+        calls.extend(ys)
+        return _slope_map(alpha, ys)
 
     monkeypatch.setattr(model_module, "_slope_map", counting)
     for alpha, v in cases:

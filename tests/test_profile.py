@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import dop853_loop_step, mp_far_series_coeffs, mp_series_nodes
+from helpers import dop853_loop_step, evaluate_oracle, mp_far_series_coeffs, mp_series_nodes
 import soliton_lab
 from soliton_lab import profile as profile_module
 from soliton_lab import series as series_module
@@ -430,15 +431,18 @@ def test_solve_sums_each_series_once_per_node(monkeypatch):
     """One solve sums no series twice at one node.
 
     Every Horner pass is recorded, through the solver's ``_polyval`` and
-    through the one ``series_eval`` uses, with its coefficients and its
-    points.  The six series (r and r' at the axis; U, W, the integral of
-    the slope and F in the far field) must each be summed, and no
-    (coefficients, point) pair twice.
+    through the one ``series_eval`` uses, with its points and, for a
+    stack of series, each row's coefficients.  The six series (r and r'
+    at the axis; U, W, the integral of the slope and F in the far field)
+    must each be summed, and no (coefficients, point) pair twice.
     """
     passes = []
 
     def recording(x, c):
-        passes.append((np.asarray(c).tobytes(), np.atleast_1d(x).tolist()))
+        rows = np.asarray(c)
+        rows = rows.reshape(len(rows), -1).T if rows.ndim > 1 else [rows]
+        points = np.atleast_1d(x).tolist()
+        passes.extend((np.ascontiguousarray(row).tobytes(), points) for row in rows)
         return _polyval(x, c)
 
     monkeypatch.setattr(profile_module, "_polyval", recording)
@@ -478,28 +482,39 @@ def test_last_term_negligible_false_where_the_sum_overflows():
 )
 def test_launch_and_handoff_are_where_the_stepper_runs(monkeypatch, n, alpha, t_max, tol, end):
     """The stepper starts at ``grid[launch]`` and lands on exactly
-    ``grid[launch + 1:handoff + 1]``; with no node to step it never starts."""
-    starts, landings = [], []
+    ``grid[launch + 1:handoff + 1]``; with no node to step it never starts.
+
+    The landings are the accepted DOP853 step endpoints that are nodes:
+    every accepted endpoint lies in (grid[launch], grid[handoff]], and the
+    last one is grid[handoff]."""
+    starts, accepted = [], []
 
     class Recording(profile_module._CarriedSlopeStepper):
         def __init__(self, n, alpha, t, *args, **kwargs):
             starts.append(t)
             super().__init__(n, alpha, t, *args, **kwargs)
 
-        def advance_to(self, t_target):
-            landings.append(t_target)
-            super().advance_to(t_target)
+        def _rk_step(self, t, r, z, y, f, h):
+            result = super()._rk_step(t, r, z, y, f, h)
+            if result[2] < 1.0:
+                accepted.append(t + h)
+            return result
 
     monkeypatch.setattr(profile_module, "_CarriedSlopeStepper", Recording)
     prof = solve_profile(ModelParams(n, alpha), t_max, tol)
     last = len(prof.grid) - 1
+    nodes = set(prof.grid.tolist())
+    landings = [t for t in accepted if t in nodes]
     assert landings == prof.grid[prof.launch + 1:prof.handoff + 1].tolist()
     if end == "series":
-        assert prof.launch == prof.handoff == last and starts == []
+        assert prof.launch == prof.handoff == last and starts == [] and accepted == []
     else:
         assert starts == [prof.grid[prof.launch]]
         assert 1 <= prof.launch < prof.handoff
         assert (prof.handoff == last) == (end == "t_max")
+        assert prof.grid[prof.launch] < accepted[0]
+        assert all(a < b for a, b in zip(accepted, accepted[1:]))
+        assert accepted[-1] == prof.grid[prof.handoff]
 
 
 def _radau_past_handoff(profile_of, n, alpha, t_max):
@@ -876,6 +891,38 @@ def test_evaluate_at_the_axis_is_the_series(profile_of, n, alpha):
     for i, ti in enumerate(t.tolist()):
         expected = axis if ti == 0.0 else [v.hex() for v in prof.evaluate(ti)]
         assert [v.hex() for v in values[:, i].tolist()] == expected, ti
+
+
+@pytest.mark.parametrize("n, alpha", _GRID)
+def test_evaluate_matches_the_hermite_oracle_bitwise(profile_of, n, alpha):
+    """``evaluate`` gives the bytes of ``helpers.evaluate_oracle``, which
+    forms each quintic's basis and the cubic's powers on its own.
+
+    The points are seeded random ones past ``grid[1]``, every node, t = 0,
+    points below ``grid[1]`` and t_max: all in one array, which takes
+    every branch, and the points past ``grid[1]`` alone, which take none
+    of the axis masks."""
+    prof = profile_of(n, alpha)
+    t_max = prof.t_max
+    rng = np.random.default_rng(10 * n + int(4 * alpha))
+    past = np.concatenate((rng.uniform(prof.grid[1], t_max, 2000), prof.grid[1:], [t_max]))
+    below = rng.uniform(0.0, prof.grid[1], 50)
+    for t in (np.concatenate((past, below, prof.grid, [0.0])), past, below):
+        oracle = evaluate_oracle(prof, t)
+        for name, ours, theirs in zip(("r", "dr", "ddr"), prof.evaluate(t), oracle):
+            assert ours.tobytes() == theirs.tobytes(), name
+    assert prof.evaluate(t_max) == tuple(v[0] for v in evaluate_oracle(prof, [t_max]))
+
+
+def test_series_of_other_params_are_not_taken_over(profile_of):
+    """A donor profile's coefficients serve only a solve of its own params."""
+    fresh = solve_profile(ModelParams(2, 0.5), 200.0, 1e-10)
+    other = profile_of(3, 2.0)
+    for donor in (other, dataclasses.replace(other, params=ModelParams(2, 0.5))):
+        given = solve_profile(ModelParams(2, 0.5), 200.0, 1e-10, _series_from=donor)
+        assert given.series.coeffs == fresh.series.coeffs
+        for name in ("r", "dr", "ddr", "dddr", "phase_z"):
+            assert getattr(given, name).tobytes() == getattr(fresh, name).tobytes(), name
 
 
 def test_t_max_property(profile_of):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from soliton_lab import profile as profile_module
 from soliton_lab import verify as verify_module
 from soliton_lab.model import ModelParams
 from soliton_lab.phase import phase_trajectory
@@ -220,7 +221,8 @@ def test_scan_gradient_bound_validation():
 
 
 def test_run_battery_solves_once(profile_of, monkeypatch):
-    """The refinement check reuses the battery's profile: one finer solve."""
+    """The refinement check reuses the battery's profile: one finer solve,
+    which takes over the profile's series coefficients."""
     solves = []
 
     def recording(*args, **kwargs):
@@ -230,8 +232,29 @@ def test_run_battery_solves_once(profile_of, monkeypatch):
     monkeypatch.setattr(verify_module, "solve_profile", recording)
     profile = profile_of(3, 2.0)
     reports = run_battery(profile)
-    assert solves == [{"switch_radius": profile.grid[1] / 2.0}]
+    assert solves == [{"switch_radius": profile.grid[1] / 2.0, "_series_from": profile}]
     assert reports[-1].name == "refinement" and reports[-1].passed
+
+
+def test_run_battery_computes_each_series_once(monkeypatch):
+    """A battery's two solves share one origin and one far-field recursion,
+    and the finer solve still goes through ``solve_profile``."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("series_coefficients", "_far_series"):
+        monkeypatch.setattr(profile_module, name, counting(name, getattr(profile_module, name)))
+    monkeypatch.setattr(verify_module, "solve_profile", counting("solve_profile", solve_profile))
+    profile = verify_module.solve_profile(ModelParams(3, 2.0), 200.0, 1e-10)
+    run_battery(profile)
+    assert sorted(calls) == [
+        "_far_series", "series_coefficients", "solve_profile", "solve_profile"
+    ]
 
 
 def test_run_battery_all_green(profile_of):
