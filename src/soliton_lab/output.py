@@ -1,13 +1,14 @@
 """Serializers for profiles, check reports, fits, and scans.
 
-Every document goes through one emitter, which takes a format, a header,
-rows of cells and a JSON document.  JSON is the document at indent 2 with
-its keys in insertion order and floats in shortest round-trip form.  CSV
-is the header and the rows through one cell rule: None is empty, a bool
-is true/false, an int or str stands as is and a float takes 17
-significant digits.  Both are UTF-8 and newline-terminated, and the same
-inputs always give the same bytes.  The check-report emitter has a
-matching parser and the pair round-trips exactly.
+Every document is built in the one format asked for, and goes through
+one of two emitters: a JSON document or a CSV header and rows of cells.
+JSON is the document at indent 2 with its keys in insertion order and
+floats in shortest round-trip form.  CSV is the header and the rows
+through one cell rule: None is empty, a bool is true/false, an int or
+str stands as is and a float takes 17 significant digits.  Both are
+UTF-8 and newline-terminated, and the same inputs always give the same
+bytes.  The check-report emitter has a matching parser and the pair
+round-trips exactly.
 """
 
 from __future__ import annotations
@@ -53,10 +54,12 @@ def _check_format(format: str) -> str:
     return format
 
 
-def _emit(format: str, header, rows, doc) -> str:
-    """``doc`` as JSON, or ``header`` and ``rows`` (an empty row is a blank line) as CSV."""
-    if _check_format(format) == "json":
-        return json.dumps(doc, indent=2) + "\n"
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv(header, rows) -> str:
+    """``header`` and ``rows``; an empty row is a blank line."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -96,14 +99,16 @@ def emit_report(
         params = fit.params
     header = ["name", "pass", "metric", "tolerance", "detail"]
     rows = [[c.name, c.passed, c.metric, c.tolerance, c.detail] for c in reports]
-    checks = [dict(zip(header, row)) for row in rows]
     record = _fit_record(fit) if fit is not None else None
+    if _check_format(format) == "json":
+        checks = [dict(zip(header, row)) for row in rows]
+        params_doc = {"n": params.n, "alpha": params.alpha}
+        return _json({"params": params_doc, "checks": checks, "fit": record})
     rows += [[], ["key", "value"], ["n", params.n], ["alpha", params.alpha]]
     if record is not None:
         rows += [["window_lo", record["window"][0]], ["window_hi", record["window"][1]]]
         rows += [[key, value] for key, value in record.items() if key != "window"]
-    doc = {"params": {"n": params.n, "alpha": params.alpha}, "checks": checks, "fit": record}
-    return _emit(format, header, rows, doc)
+    return _csv(header, rows)
 
 
 def parse_report(text: str, format: str = "csv") -> dict:
@@ -161,23 +166,25 @@ def profile_document(profile: RadialProfile, format: str = "csv") -> str:
         "dr": profile.dr.tolist(),
         "ddr": profile.ddr.tolist(),
     }
-    doc = {
-        "params": {"n": profile.params.n, "alpha": profile.params.alpha},
-        "tol": profile.tol,
-        "profile": columns,
-    }
-    return _emit(format, list(columns), zip(*columns.values()), doc)
+    if _check_format(format) == "json":
+        return _json({
+            "params": {"n": profile.params.n, "alpha": profile.params.alpha},
+            "tol": profile.tol,
+            "profile": columns,
+        })
+    return _csv(list(columns), zip(*columns.values()))
 
 
 def scan_document(report: GradientScanReport, format: str = "csv") -> str:
     """Serialize a gradient scan; CSV ends in a ``sup_ratio`` row."""
+    if _check_format(format) == "json":
+        return _json({
+            "params": {"n": report.params.n, "alpha": report.params.alpha},
+            "samples": [s._asdict() for s in report.samples],
+            "sup_ratio": report.sup_ratio,
+        })
     rows = [*report.samples, ["sup_ratio", report.sup_ratio, None, None, None]]
-    doc = {
-        "params": {"n": report.params.n, "alpha": report.params.alpha},
-        "samples": [s._asdict() for s in report.samples],
-        "sup_ratio": report.sup_ratio,
-    }
-    return _emit(format, ScanSample._fields, rows, doc)
+    return _csv(ScanSample._fields, rows)
 
 
 def table_document(rows: list[dict], format: str = "csv") -> str:
@@ -192,5 +199,6 @@ def table_document(rows: list[dict], format: str = "csv") -> str:
         "fitted_C1",
         "residual_norm",
     ]
-    cells = [[row[col] for col in columns] for row in rows]
-    return _emit(format, columns, cells, {"table": rows})
+    if _check_format(format) == "json":
+        return _json({"table": rows})
+    return _csv(columns, [[row[col] for col in columns] for row in rows])

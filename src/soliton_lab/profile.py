@@ -135,9 +135,9 @@ _FAR_CUT = 1e-2
 # last term of order N falls below the cut of the default tol, 1e-14,
 # earliest near N = ln(1e14), about 32, and the recursion (2 N^2
 # multiply-adds) and every far sum grow with N.  The n 2..6 x alpha
-# {0.5, 1, 2, 3} grid at t_max 200 takes 4,805 DOP853 steps at order 24,
-# 4,641 at 28, 4,562 at 32, 4,546 at 34, 4,545 at 36, 4,558 at 40 and
-# 4,647 at 48; its solve time, measured in-process, moves less than its
+# {0.5, 1, 2, 3} grid at t_max 200 takes 4,801 DOP853 steps at order 24,
+# 4,638 at 28, 4,559 at 32, 4,543 at 34, 4,542 at 36, 4,555 at 40 and
+# 4,644 at 48; its solve time, measured in-process, moves less than its
 # noise from 24 to 36 and rises from 40 on, so 32 keeps near the fewest
 # steps with 2,048 multiply-adds where 36 takes 2,592.  On n in
 # {2, 3, 5, 7, 10} x alpha {0.15, 0.2, 0.3, 0.4, 0.5, 0.75, 1, 1.5, 2, 3,
@@ -177,11 +177,14 @@ class _CarriedSlopeStepper:
     instance serves one solve: it holds the tableau's parameters, the
     starting state, its rhs ``f`` and the initial step ``h_abs``, and
     :func:`solve_profile` takes steps with :meth:`_rk_step` and runs the
-    standard controller on them in its node loop, so the state lives in
-    that loop's locals.  Each node's y is the one the last step returned,
-    and the next step starts from that state and its rhs, so the
-    constraint holds to the stepper's error (at most 1.7e-14 relative on
-    the surveyed range).  Projecting y back onto it by an inversion at
+    standard controller (Solving ODEs I, II.4) on them in its node loop,
+    so the state lives in that loop's locals.  The controller bounds its
+    factors with comparisons that pick what ``min`` and ``max`` would,
+    NaN included, and works out the floor of ten ulps of t only once the
+    step is below 2.3e-15 t, which ten ulps never exceed.  Each node's y
+    is the one the last step returned, and the next step starts from that
+    state and its rhs, so the constraint holds to the stepper's error (at
+    most 1.7e-14 relative on the surveyed range).  Projecting y back onto it by an inversion at
     every node (Hairer, Lubich and Wanner, Geometric Numerical
     Integration, IV.4) moved r by at most 7.4e-14 relative and changed no
     check's verdict, so the stepper does not.
@@ -242,7 +245,8 @@ class _CarriedSlopeStepper:
         never formed, since no rate reads r.  Every sum, the error
         estimators' too, runs over the nonzero weights in index order, so
         each result is the one a loop over the full tableau gives, bit for
-        bit.
+        bit.  Five weight products of the r and z rates are formed once
+        and added into both the solution and the third-order estimator.
         """
         n, an, wp_exp = self.n, self.an, self.wp_exp
         kr0, kz0, ky0 = f
@@ -344,15 +348,21 @@ class _CarriedSlopeStepper:
         ) * h
         kz11 = -(1.0 + n * zs + an * zs * kr11 * kr11) / (t + h)
         ky11 = -zs * (1.0 + kr11 * kr11) ** wp_exp
+        # The products the solution and the third-order estimator share:
+        # a - c * x rounds like a - (c * x), so each sum is unchanged.
+        pr5, pr6 = 4.450312892752409 * kr5, 1.8915178993145003 * kr6
+        pr7, pr9 = 5.801203960010585 * kr7, 0.1521609496625161 * kr9
+        pr10 = 0.20136540080403034 * kr10
+        pz5, pz6 = 4.450312892752409 * kz5, 1.8915178993145003 * kz6
+        pz7, pz9 = 5.801203960010585 * kz7, 0.1521609496625161 * kz9
+        pz10 = 0.20136540080403034 * kz10
         dr = (
-            0.054293734116568765 * kr0 + 4.450312892752409 * kr5 + 1.8915178993145003 * kr6
-            - 5.801203960010585 * kr7 + 0.3111643669578199 * kr8 - 0.1521609496625161 * kr9
-            + 0.20136540080403034 * kr10 + 0.04471061572777259 * kr11
+            0.054293734116568765 * kr0 + pr5 + pr6 - pr7 + 0.3111643669578199 * kr8 - pr9
+            + pr10 + 0.04471061572777259 * kr11
         )
         dz = (
-            0.054293734116568765 * kz0 + 4.450312892752409 * kz5 + 1.8915178993145003 * kz6
-            - 5.801203960010585 * kz7 + 0.3111643669578199 * kz8 - 0.1521609496625161 * kz9
-            + 0.20136540080403034 * kz10 + 0.04471061572777259 * kz11
+            0.054293734116568765 * kz0 + pz5 + pz6 - pz7 + 0.3111643669578199 * kz8 - pz9
+            + pz10 + 0.04471061572777259 * kz11
         )
         dy = (
             0.054293734116568765 * ky0 + 4.450312892752409 * ky5 + 1.8915178993145003 * ky6
@@ -367,8 +377,11 @@ class _CarriedSlopeStepper:
             -z_new * (1.0 + y_new * y_new) ** wp_exp,
         )
 
-        scale_r = self.atol + max(abs(r), abs(r_new)) * self.rtol
-        scale_z = self.atol + max(abs(z), abs(z_new)) * self.rtol
+        # max(a, b) by comparison, as the builtin picks: b only if b > a.
+        ar, br = abs(r), abs(r_new)
+        scale_r = self.atol + (br if br > ar else ar) * self.rtol
+        az, bz = abs(z), abs(z_new)
+        scale_z = self.atol + (bz if bz > az else az) * self.rtol
         e5r = (
             0.01312004499419488 * kr0 - 1.2251564463762044 * kr5 - 0.4957589496572502 * kr6
             + 1.6643771824549864 * kr7 - 0.35032884874997366 * kr8
@@ -382,14 +395,12 @@ class _CarriedSlopeStepper:
             - 0.022355307863886294 * kz11
         )
         e3r = (
-            -0.18980075407240762 * kr0 + 4.450312892752409 * kr5 + 1.8915178993145003 * kr6
-            - 5.801203960010585 * kr7 - 0.4226823213237919 * kr8 - 0.1521609496625161 * kr9
-            + 0.20136540080403034 * kr10 + 0.02265179219836082 * kr11
+            -0.18980075407240762 * kr0 + pr5 + pr6 - pr7 - 0.4226823213237919 * kr8 - pr9
+            + pr10 + 0.02265179219836082 * kr11
         )
         e3z = (
-            -0.18980075407240762 * kz0 + 4.450312892752409 * kz5 + 1.8915178993145003 * kz6
-            - 5.801203960010585 * kz7 - 0.4226823213237919 * kz8 - 0.1521609496625161 * kz9
-            + 0.20136540080403034 * kz10 + 0.02265179219836082 * kz11
+            -0.18980075407240762 * kz0 + pz5 + pz6 - pz7 - 0.4226823213237919 * kz8 - pz9
+            + pz10 + 0.02265179219836082 * kz11
         )
         e5r /= scale_r
         e5z /= scale_z
@@ -631,16 +642,20 @@ def solve_profile(
     to the first one where its last term exceeds 1e-16 of the sum, for r
     or r'.  From the last such node an explicit embedded Runge-Kutta
     method (DOP853, stepped in this module) integrates the (r, z) system,
-    landing exactly on every node; it carries the slope y as a third state,
-    and the stored slope is the carried one, which meets (n - 1) g(y) =
-    (1 + z) t to the stepper's error (within 1.7e-14 relative).  The
-    far-field series in ((n - 1)/t)^(2/alpha), where it has converged (its
-    last term at most 1e-2 rtol of the sum, rtol the stepper's relative
-    tolerance) and its z are evaluated once at every node past the last
-    origin-series node.  At the first node where that series has converged
-    and the integrated z agrees with the series' z to rtol (with no
-    absolute floor), the integration stops:
-    every remaining node is evaluated from the series: the slope and z,
+    landing exactly on every node.  Its controller is the standard one: an
+    accepted step grows by at most 10, and not at all right after a
+    rejection; a rejected one shrinks by at most 5, and by exactly 5 where
+    a stage overflows or the error norm is NaN; a step below ten ulps of t
+    raises :class:`SolverError`.  The stepper carries the slope y as a
+    third state, and the stored slope is the carried one, which meets
+    (n - 1) g(y) = (1 + z) t to the stepper's error (within 1.7e-14
+    relative).  The far-field series in ((n - 1)/t)^(2/alpha), where it
+    has converged (its last term at most 1e-2 rtol of the sum, rtol the
+    stepper's relative tolerance) and its z are evaluated once at every
+    node past the last origin-series node.  At the first node where that
+    series has converged and the integrated z agrees with the series' z to
+    rtol (with no absolute floor), the integration stops: every remaining
+    node is evaluated from the series: the slope and z,
     the radius as its value at the handoff plus the term-by-term integral
     of the slope series, and r''' through the series' dz/dt.  If the
     relaxation rate passes the explicit stability budget per grid step
@@ -718,11 +733,15 @@ def solve_profile(
     t0 = float(switch_radius)
     n_seg = max(int(math.ceil((math.log(t_max) - math.log(t0)) / grid_spacing)), 32)
     s_nodes = np.linspace(math.log(t0), math.log(t_max), n_seg + 1)
-    t_nodes = np.exp(s_nodes).tolist()
-    t_nodes[0] = t0
-    t_nodes[-1] = t_max
-    grid = np.array([0.0] + t_nodes)
+    grid = np.empty(n_seg + 2)
+    grid[0] = 0.0
+    # exp writes a fresh array, as its SIMD loop's bits may depend on the
+    # alignment of its output, and the copy moves none.
+    grid[1:] = np.exp(s_nodes)
+    grid[1] = t0
+    grid[-1] = t_max
     t_arr = grid[1:]
+    t_nodes = t_arr.tolist()
 
     # The origin series fills every node it resolves to float precision,
     # up to the first node where the last term of r or of r' exceeds 1e-16
@@ -799,16 +818,23 @@ def solve_profile(
     for k in range(launch + 1, n_seg + 1):
         tk = t_nodes[k]
         while t < tk:
-            min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-            h_abs = max(h_abs, min_step)
             rejected = False
             while True:
-                if h_abs < min_step:
-                    raise SolverError(
-                        f"integration failed near t = {t:.6g}: required step "
-                        "size is less than spacing between numbers"
-                    )
-                t_new = min(t + h_abs, tk)
+                # The step is at least ten ulps of t, which are at most
+                # 2.22e-15 t, so the floor is only worked out below 2.3e-15 t:
+                # the first attempt rises to it, a retry below it raises.
+                if h_abs <= 2.3e-15 * t:
+                    min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+                    if h_abs < min_step:
+                        if rejected:
+                            raise SolverError(
+                                f"integration failed near t = {t:.6g}: required step "
+                                "size is less than spacing between numbers"
+                            )
+                        h_abs = min_step
+                t_new = t + h_abs
+                if tk < t_new:
+                    t_new = tk
                 h_abs = t_new - t
                 try:
                     state, f_new, error_norm = step(t, r, z, y, f, h_abs)
@@ -816,16 +842,22 @@ def solve_profile(
                     # A trial stage left float range; shrink like any
                     # rejected step and let the minimum step decide.
                     error_norm = math.inf
+                # The factors are bounded by comparisons that pick what min
+                # and max would, NaN included: a NaN norm is rejected, and
+                # its NaN factor loses to _MIN_FACTOR.
                 if error_norm < 1.0:
                     if error_norm == 0.0:
                         factor = _MAX_FACTOR
                     else:
-                        factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT)
-                    if rejected:
-                        factor = min(1.0, factor)
+                        factor = _SAFETY * error_norm ** _EXPONENT
+                        if factor > _MAX_FACTOR:
+                            factor = _MAX_FACTOR
+                    if rejected and factor > 1.0:
+                        factor = 1.0
                     h_abs *= factor
                     break
-                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+                factor = _SAFETY * error_norm ** _EXPONENT
+                h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
                 rejected = True
             t, (r, z, y), f = t_new, state, f_new
         if not (math.isfinite(r) and math.isfinite(z) and math.isfinite(y)):

@@ -7,6 +7,7 @@ t = 1e-3, far beneath double precision).  Its degree-80 results for the
 cells the tests check in full are stored as test data; run this file
 (``PYTHONPATH=src python tests/helpers.py``) to write them again.  The
 DOP853 oracle is the loop form of one step, driven by scipy's tables, the
+controller oracle its accept/reject loop written with min and max, the
 origin-series oracle the loop form of ``series_eval``, and the
 interpolation oracle ``RadialProfile.evaluate`` with one Hermite basis per
 channel.
@@ -410,3 +411,49 @@ def evaluate_oracle(profile, t):
 
 if __name__ == "__main__":
     write_stored_series()
+
+
+# The step-size controller's constants, as in soliton_lab.profile.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
+
+
+def controller_attempts(t, h_abs, nodes, error_norms):
+    """The (t, h) of every step attempt the DOP853 controller makes from t
+    over ``nodes``, fed the error norm of each attempt in turn.
+
+    The reference for the accept/reject loop of ``solve_profile``, written
+    with ``min`` and ``max`` (Hairer, Norsett and Wanner, Solving ODEs I,
+    II.4): a step of at least ten ulps of t, clipped to land on each node;
+    an accepted step grows by at most 10 and not at all right after a
+    rejection; a rejected one shrinks by at most 5, and by exactly 5 when
+    its norm is inf or NaN.  It raises RuntimeError where the step falls
+    below ten ulps of t.  ``error_norms`` is an iterable; its values are
+    consumed one per attempt.
+    """
+    norms = iter(error_norms)
+    attempts = []
+    for tk in nodes:
+        while t < tk:
+            min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise RuntimeError("required step size is less than spacing between numbers")
+                t_new = min(t + h_abs, tk)
+                h_abs = t_new - t
+                attempts.append((t, h_abs))
+                error_norm = next(norms)
+                if error_norm < 1.0:
+                    if error_norm == 0.0:
+                        factor = _MAX_FACTOR
+                    else:
+                        factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+                    if rejected:
+                        factor = min(1.0, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+                rejected = True
+            t = t_new
+    return attempts

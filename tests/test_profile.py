@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import dop853_loop_step, evaluate_oracle, mp_far_series_coeffs, mp_series_nodes
+from helpers import (
+    controller_attempts,
+    dop853_loop_step,
+    evaluate_oracle,
+    mp_far_series_coeffs,
+    mp_series_nodes,
+)
 import soliton_lab
 from soliton_lab import profile as profile_module
 from soliton_lab import series as series_module
@@ -515,6 +521,116 @@ def test_launch_and_handoff_are_where_the_stepper_runs(monkeypatch, n, alpha, t_
         assert prof.grid[prof.launch] < accepted[0]
         assert all(a < b for a, b in zip(accepted, accepted[1:]))
         assert accepted[-1] == prof.grid[prof.handoff]
+
+
+def _record_attempts(monkeypatch, norm_of=None):
+    """Record every DOP853 attempt of the solves that follow as (t, h,
+    error norm), and each stepper's start as (t, initial h).
+
+    A stage that raises OverflowError is recorded with a norm of inf.
+    ``norm_of(i, norm)``, if given, replaces the norm of attempt i (from
+    0); a replacement of None raises OverflowError there, as a stage that
+    leaves float range does.  More than 10,000 attempts in one solve fail
+    the test, so a controller that loops stops.
+    """
+    attempts, starts = [], []
+
+    class Recording(profile_module._CarriedSlopeStepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            starts.append((self.t, self.h_abs))
+            attempts.clear()
+
+        def _rk_step(self, t, r, z, y, f, h):
+            try:
+                state, f_new, norm = super()._rk_step(t, r, z, y, f, h)
+            except OverflowError:
+                state, f_new, norm = None, None, None
+            if norm_of is not None:
+                norm = norm_of(len(attempts), norm)
+            attempts.append((t, h, math.inf if norm is None else norm))
+            assert len(attempts) <= 10_000, "the step-size controller loops"
+            if norm is None:
+                raise OverflowError("a stage left float range")
+            return state, f_new, norm
+
+    monkeypatch.setattr(profile_module, "_CarriedSlopeStepper", Recording)
+    return attempts, starts
+
+
+def _reject_every_25th(i, norm):
+    return 3.0 if i % 25 == 24 else norm
+
+
+@pytest.mark.parametrize(
+    "t_max, norm_of, steps",
+    [(200.0, None, 4_559), (2000.0, None, 4_560), (200.0, _reject_every_25th, None)],
+)
+def test_controller_replays_the_reference(monkeypatch, t_max, norm_of, steps):
+    """Every step attempt of the grid solves is the one the reference
+    controller makes, given the same error norms.
+
+    ``helpers.controller_attempts`` is the accept/reject loop written with
+    ``min`` and ``max``.  Fed each solve's start and its recorded error
+    norms, it must ask for the same (t, h) at every attempt, to the bit.
+    The grid at tol 1e-10 rejects no step, so one pass also rejects every
+    25th attempt with a norm of 3.  The grid's accepted steps are counted:
+    a change that moves them has to say so.
+    """
+    attempts, starts = _record_attempts(monkeypatch, norm_of)
+    accepted = 0
+    for n, alpha in _GRID:
+        starts.clear()
+        prof = solve_profile(ModelParams(n, alpha), t_max, 1e-10)
+        ((t, h_abs),) = starts
+        nodes = prof.grid[prof.launch + 1:prof.handoff + 1].tolist()
+        replay = controller_attempts(t, h_abs, nodes, [norm for _, _, norm in attempts])
+        assert replay == [(t, h) for t, h, _ in attempts], (n, alpha)
+        accepted += sum(norm < 1.0 for _, _, norm in attempts)
+    assert steps is None or accepted == steps
+
+
+@pytest.mark.parametrize("bad", [None, math.nan, math.inf])
+def test_overflow_or_a_nan_norm_shrinks_the_step_by_five(monkeypatch, bad):
+    """A stage that raises OverflowError (None here), or an error norm of
+    NaN or inf, rejects the step, and the next attempt is from the same t
+    with h exactly 0.2 h, as t + 0.2 h rounds."""
+    attempts, _ = _record_attempts(monkeypatch, lambda i, norm: bad if i == 40 else norm)
+    solve_profile(ModelParams(3, 2.0), 200.0, 1e-10)
+    (t, h, _), (t_next, h_next, _) = attempts[40:42]
+    assert t_next == t
+    assert h_next == (t + 0.2 * h) - t
+
+
+def test_no_growth_right_after_a_rejection(monkeypatch):
+    """A step accepted right after a rejection does not grow the next one.
+
+    Attempt 40 is rejected with a norm that shrinks it by 5, and attempt
+    41, the retry, is accepted with a norm of 1e-30, which would grow the
+    step tenfold.  Attempt 42 takes the retry's h again, which lands short
+    of the next node; tenfold would not."""
+    norms = {40: 1e8, 41: 1e-30}
+    attempts, _ = _record_attempts(monkeypatch, lambda i, norm: norms.get(i, norm))
+    solve_profile(ModelParams(3, 2.0), 200.0, 1e-10)
+    (t, h, _), (t_retry, h_retry, _), (t_next, h_next, _) = attempts[40:43]
+    assert t_retry == t and h_retry == (t + 0.2 * h) - t
+    assert t_next == t + h_retry
+    assert h_next == (t_next + h_retry) - t_next
+
+
+@pytest.mark.parametrize("norm", [None, 2.0, math.nan])
+def test_a_step_never_accepted_raises(monkeypatch, norm):
+    """A step that no size makes acceptable (a stage that always
+    overflows, a norm that stays at 2, a NaN norm) shrinks to ten ulps of
+    t and raises there; it does not loop."""
+    attempts, _ = _record_attempts(monkeypatch, lambda i, _: norm)
+    floor = "required step size is less than spacing between numbers"
+    with pytest.raises(SolverError, match=floor):
+        solve_profile(ModelParams(3, 2.0), 200.0, 1e-10)
+    t = attempts[0][0]
+    min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+    assert all(a[0] == t for a in attempts)
+    assert min_step <= attempts[-1][1] < 5.0 * min_step
 
 
 def _radau_past_handoff(profile_of, n, alpha, t_max):
