@@ -535,6 +535,11 @@ class RadialProfile:
     # The far-field series (u, w) of _far_series, kept so that a second
     # solve of the same params need not run its recursion again.
     _far: tuple = field(default=None, repr=False)
+    # g(dr) at the origin-series nodes grid[1:launch + 1], which the solve
+    # forms for z there; check_bounds reads it in place of evaluating g
+    # again.  Set by solve_profile alone, so a profile built by hand or by
+    # dataclasses.replace holds None and never an array of other nodes.
+    _origin_g: np.ndarray = field(default=None, init=False, repr=False)
 
     @property
     def t_max(self) -> float:
@@ -547,8 +552,19 @@ class RadialProfile:
         bit for bit; elsewhere below ``grid[1]`` the series is evaluated
         directly, and past it piecewise quintic Hermite interpolation
         (cubic for ddr) built from the stored derivative data is used.
-        Accepts scalars or arrays.
+        Accepts scalars or arrays.  :meth:`_radius` gives r alone.
         """
+        return self._interpolate(t, radius_only=False)
+
+    def _radius(self, t):
+        """r alone, exactly ``evaluate(t)[0]``: the same point checks,
+        node 0 at the axis, the origin series below ``grid[1]`` and the
+        same quintic past it, without forming dr and ddr there.
+        """
+        return self._interpolate(t, radius_only=True)[0]
+
+    def _interpolate(self, t, radius_only):
+        """:meth:`evaluate`, or its r alone as a one-element tuple."""
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         t_flat = np.atleast_1d(t_arr).astype(float)
@@ -563,35 +579,32 @@ class RadialProfile:
 
         far = t_flat >= self.grid[1]
         if far.all():
-            r_out, dr_out, ddr_out = self._hermite(t_flat)
+            out = self._hermite(t_flat, radius_only)
         else:
-            r_out = np.empty_like(t_flat)
-            dr_out = np.empty_like(t_flat)
-            ddr_out = np.empty_like(t_flat)
+            out = tuple(np.empty_like(t_flat) for _ in range(1 if radius_only else 3))
             origin = t_flat == 0.0
-            r_out[origin] = self.r[0]
-            dr_out[origin] = self.dr[0]
-            ddr_out[origin] = self.ddr[0]
+            for o, nodes in zip(out, (self.r, self.dr, self.ddr)):
+                o[origin] = nodes[0]
             near = ~(far | origin)
             if near.any():
-                r_out[near], dr_out[near], ddr_out[near] = series_eval(
-                    self.series, t_flat[near]
-                )
+                for o, values in zip(out, series_eval(self.series, t_flat[near])):
+                    o[near] = values
             if far.any():
-                r_out[far], dr_out[far], ddr_out[far] = self._hermite(t_flat[far])
+                for o, values in zip(out, self._hermite(t_flat[far], radius_only)):
+                    o[far] = values
 
         if scalar:
-            return float(r_out[0]), float(dr_out[0]), float(ddr_out[0])
-        shape = t_arr.shape
-        return r_out.reshape(shape), dr_out.reshape(shape), ddr_out.reshape(shape)
+            return tuple(float(o[0]) for o in out)
+        return tuple(o.reshape(t_arr.shape) for o in out)
 
-    def _hermite(self, tq):
-        """(r, dr, ddr) at points tq >= grid[1], from the nodes around each.
+    def _hermite(self, tq, radius_only):
+        """(r, dr, ddr), or (r,) alone, at points tq >= grid[1], from the
+        nodes around each.
 
         r and dr are quintic Hermite interpolants, matching the value and
         first two derivatives at both nodes; ddr is the cubic one, matching
-        ddr and dddr.  The six quintic basis values on [0, 1], and the
-        powers of tau the cubic reads, are formed once for all three.
+        ddr and dddr.  The bracket and the six quintic basis values on
+        [0, 1] are formed once for every channel asked for.
         """
         k = np.searchsorted(self.grid, tq, side="right") - 1
         k = np.clip(k, 1, len(self.grid) - 2)
@@ -603,18 +616,21 @@ class RadialProfile:
         t3 = t2 * tau
         t4 = t3 * tau
         t5 = t4 * tau
-        h00 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
-        h10 = tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
-        h20 = 0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5)
-        h01 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-        h11 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
-        h21 = 0.5 * (t3 - 2.0 * t4 + t5)
-        r0, r1 = self.r[k], self.r[k + 1]
+        basis = (
+            1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5,
+            tau - 6.0 * t3 + 8.0 * t4 - 3.0 * t5,
+            0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5),
+            10.0 * t3 - 15.0 * t4 + 6.0 * t5,
+            -4.0 * t3 + 7.0 * t4 - 3.0 * t5,
+            0.5 * (t3 - 2.0 * t4 + t5),
+        )
         d0, d1 = self.dr[k], self.dr[k + 1]
         c0, c1 = self.ddr[k], self.ddr[k + 1]
+        r = _quintic(basis, h, hh, self.r[k], d0, c0, self.r[k + 1], d1, c1)
+        if radius_only:
+            return (r,)
         e0, e1 = self.dddr[k - 1], self.dddr[k]  # dddr has no axis entry
-        r = r0 * h00 + h * d0 * h10 + hh * c0 * h20 + r1 * h01 + h * d1 * h11 + hh * c1 * h21
-        dr = d0 * h00 + h * c0 * h10 + hh * e0 * h20 + d1 * h01 + h * c1 * h11 + hh * e1 * h21
+        dr = _quintic(basis, h, hh, d0, c0, e0, d1, c1, e1)
         ddr = (
             c0 * (2.0 * t3 - 3.0 * t2 + 1.0)
             + h * e0 * (t3 - 2.0 * t2 + tau)
@@ -622,6 +638,14 @@ class RadialProfile:
             + h * e1 * (t3 - t2)
         )
         return r, dr, ddr
+
+
+def _quintic(basis, h, hh, f0, d0, c0, f1, d1, c1):
+    """The quintic Hermite interpolant on a cell of width h (hh = h^2) with
+    value f, derivative d and second derivative c at its two ends, summed
+    over the basis values of :meth:`RadialProfile._hermite`."""
+    h00, h10, h20, h01, h11, h21 = basis
+    return f0 * h00 + h * d0 * h10 + hh * c0 * h20 + f1 * h01 + h * d1 * h11 + hh * c1 * h21
 
 
 def solve_profile(
@@ -773,7 +797,8 @@ def solve_profile(
         start, t_bound = stop, 4.0 * t_bound
     launch = max(first_miss - 1, 0)
     near = slice(0, launch + 1)
-    z_nodes[near] = (n - 1.0) * g_eval(y_nodes[near], params) / t_arr[near] - 1.0
+    origin_g = g_eval(y_nodes[near], params)
+    z_nodes[near] = (n - 1.0) * origin_g / t_arr[near] - 1.0
 
     rtol = _stepper_rtol(tol)
     # Absolute floor for the defect channel z.  Downstream consumers need
@@ -921,7 +946,7 @@ def solve_profile(
     dr = np.concatenate(([0.0], y_nodes))
     ddr = np.concatenate(([2.0 * series.coeffs[0]], ddr_nodes))
 
-    return RadialProfile(
+    profile = RadialProfile(
         params=params,
         grid=grid,
         r=r,
@@ -935,4 +960,6 @@ def solve_profile(
         handoff=tail,
         _far=(u_far, w_far),
     )
+    profile._origin_g = origin_g
+    return profile
 

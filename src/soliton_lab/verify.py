@@ -84,11 +84,18 @@ def check_bounds(profile: RadialProfile, margin_rate: float | None = None) -> Ch
     max(t/n - g(r'), g(r') - t/(n-1), -r''), normalized by (1 + t); the
     tolerance is -margin_rate, so passing means every strict inequality
     holds with margin margin_rate*(1+t).  Default margin_rate is 10*tol.
+    At the origin-series nodes g(r') is the one the solve formed for z
+    there, when the profile holds it; g is evaluated at every other node,
+    and at every node of a profile that holds none.
     """
     if margin_rate is None:
         margin_rate = 10.0 * profile.tol
     t = profile.grid[1:]
-    gy = g_eval(profile.dr[1:], profile.params)
+    origin_g = profile._origin_g
+    if origin_g is None:
+        gy = g_eval(profile.dr[1:], profile.params)
+    else:
+        gy = np.concatenate((origin_g, g_eval(profile.dr[profile.launch + 1:], profile.params)))
     n = profile.params.n
     lower = t / n - gy
     upper = gy - t / (n - 1.0)
@@ -205,12 +212,12 @@ def check_convexity(profile: RadialProfile) -> CheckReport:
 
 def _blow_down_gaps(profile: RadialProfile, scales, samples: int = 513) -> list[float]:
     """The blow-down gap of :func:`blow_down_deviation` at each scale, from
-    one ``evaluate`` call over every scale's samples."""
+    one interpolation of r over every scale's samples."""
     leading, _ = expected_coefficients(profile.params)
     p, _ = _powers(profile.params.alpha)
     tau = np.linspace(0.0, 1.0, samples)
     limit = leading * tau ** p
-    rr = profile.evaluate(np.concatenate([h * tau for h in scales]))[0]
+    rr = profile._radius(np.concatenate([h * tau for h in scales]))
     return [
         float(np.abs(rr_h / h ** p - limit).max())
         for h, rr_h in zip(scales, rr.reshape(len(scales), samples))
@@ -261,7 +268,7 @@ def check_growth(profile: RadialProfile) -> CheckReport:
     ratio = profile.r[1:] / t
     increasing = bool(np.all(np.diff(ratio) > 0.0))
     super_linear = bool(ratio[-1] > 1.0)
-    r_half = float(profile.evaluate(t_max / 2.0)[0])
+    r_half = profile._radius(t_max / 2.0)
     r_end = float(profile.r[-1])
     exponent = (math.log(r_end) - math.log(r_half)) / math.log(2.0)
     expected, _ = _powers(profile.params.alpha)
@@ -336,7 +343,7 @@ def scan_gradient_bound(
     reach = max(c + r for c, r in zip(cs, rs))
     profile = solve_profile(params, max(reach, 1.0), tol)
     grads = profile.evaluate(cs)[1].tolist()
-    rims = profile.evaluate([c + rho for c, rho in zip(cs, rs)])[0].tolist()
+    rims = profile._radius([c + rho for c, rho in zip(cs, rs)]).tolist()
     samples = []
     for c, rho, grad, m_val in zip(cs, rs, grads, rims):
         ratio = math.log(max(grad, 1.0)) / (1.0 + (m_val / rho) ** 2)
@@ -370,7 +377,7 @@ def check_refinement_agreement(profile: RadialProfile) -> CheckReport:
     )
     t = profile.grid[1:]
     ra = profile.r[1:]
-    gap = np.abs(ra - fine.evaluate(t)[0]) / (1.0 + np.abs(ra))
+    gap = np.abs(ra - fine._radius(t)) / (1.0 + np.abs(ra))
     metric = float(gap.max())
     detail = f"worst normalized gap {metric:.3e} at t={t[int(np.argmax(gap))]:.4g}"
     return _report("refinement", metric, _CONTRACT * tol, detail)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -39,6 +40,7 @@ from soliton_lab.profile import (
     _FAR_CUT,
     _FAR_ORDER,
     _STIFFNESS_BUDGET,
+    _T_MAX_SLACK,
     _default_spacing,
     _far_series,
     _series_sum,
@@ -976,13 +978,13 @@ def test_evaluate_against_refined_grid(profile_of):
 
 
 def test_evaluate_domain_checks(profile_of):
+    """``evaluate`` and ``_radius`` refuse the same points with one message."""
     prof = profile_of(2, 1.0)
-    with pytest.raises(ValueError):
-        prof.evaluate(-0.5)
-    with pytest.raises(ValueError):
-        prof.evaluate(200.5)
-    with pytest.raises(ValueError):
-        prof.evaluate(float("nan"))
+    for bad in (-0.5, 200.5, float("nan"), [1.0, math.inf]):
+        with pytest.raises(ValueError) as refused:
+            prof.evaluate(bad)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            prof._radius(bad)
     r, dr, ddr = prof.evaluate(np.float64(200.0) * (1.0 + 1e-16))
     assert math.isfinite(r)
 
@@ -1028,6 +1030,46 @@ def test_evaluate_matches_the_hermite_oracle_bitwise(profile_of, n, alpha):
         for name, ours, theirs in zip(("r", "dr", "ddr"), prof.evaluate(t), oracle):
             assert ours.tobytes() == theirs.tobytes(), name
     assert prof.evaluate(t_max) == tuple(v[0] for v in evaluate_oracle(prof, [t_max]))
+
+
+@pytest.mark.parametrize("n, alpha", _GRID)
+def test_radius_is_evaluates_r_bitwise(profile_of, n, alpha):
+    """``_radius`` gives the bytes of ``evaluate(t)[0]`` and of
+    ``helpers.evaluate_oracle``'s r: at the axis, below ``grid[1]``, on
+    every node, between nodes, at t_max and within ``_T_MAX_SLACK`` of it,
+    for scalars and for arrays."""
+    prof = profile_of(n, alpha)
+    grid, t_max = prof.grid, prof.t_max
+    above = np.nextafter(t_max, np.inf)
+    assert above <= t_max * _T_MAX_SLACK
+    mid = 0.5 * (grid[1:-1] + grid[2:])
+    below = np.linspace(0.0, grid[1], 7)[1:-1]
+    t = np.concatenate(([0.0], below, grid, mid, [t_max, above]))
+    clipped = np.minimum(t, t_max)  # the oracle does not clip
+    oracle = evaluate_oracle(prof, clipped)[0]
+    radius = prof._radius(t)
+    assert radius.tobytes() == prof.evaluate(t)[0].tobytes() == oracle.tobytes()
+    past = np.concatenate((mid, [t_max, above]))  # no axis mask is taken
+    past_oracle = evaluate_oracle(prof, np.minimum(past, t_max))[0]
+    assert prof._radius(past).tobytes() == past_oracle.tobytes()
+    assert prof._radius(t.reshape(1, -1)).tobytes() == radius.tobytes()
+    scalars = np.concatenate(([0.0], below, grid[1::97], mid[::97], [t_max, above]))
+    for ti in scalars.tolist():
+        value = prof._radius(ti)
+        assert type(value) is float
+        expected = evaluate_oracle(prof, [min(ti, t_max)])[0][0]
+        assert value.hex() == expected.hex() == prof.evaluate(ti)[0].hex(), ti
+
+
+def test_solve_keeps_g_at_the_origin_series_nodes(profile_of):
+    """The solve keeps g(dr) of the nodes the origin series fills, and a
+    profile made by ``dataclasses.replace`` holds none."""
+    prof = profile_of(3, 2.0)
+    stored = prof._origin_g
+    assert len(stored) == prof.launch
+    assert stored.tobytes() == g_eval(prof.dr[1:prof.launch + 1], prof.params).tobytes()
+    assert dataclasses.replace(prof)._origin_g is None
+    assert dataclasses.replace(prof, dr=2.0 * prof.dr)._origin_g is None
 
 
 def test_series_of_other_params_are_not_taken_over(profile_of):

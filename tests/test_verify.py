@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from soliton_lab import profile as profile_module
 from soliton_lab import verify as verify_module
-from soliton_lab.model import ModelParams
+from soliton_lab.model import ModelParams, g_eval
 from soliton_lab.phase import phase_trajectory
 from soliton_lab.profile import solve_profile
 from soliton_lab.verify import (
@@ -44,6 +45,49 @@ def test_bounds_pass_with_margin(profile_of):
 def test_bounds_custom_margin_can_fail(profile_of):
     rep = check_bounds(profile_of(2, 1.0), margin_rate=1e-2)
     assert not rep.passed  # no cell has that much slack near the origin
+
+
+_GRID = [(n, a) for n in range(2, 7) for a in (0.5, 1.0, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("n, alpha", _GRID)
+def test_bounds_report_is_the_same_with_the_stored_slope_map(profile_of, monkeypatch, n, alpha):
+    """``check_bounds`` reads g at the origin-series nodes from the solve and
+    evaluates it past them alone, with the report of a profile that holds
+    no stored map, which evaluates g at every node."""
+    prof = profile_of(n, alpha)
+    nodes = []
+
+    def counting(y, params):
+        nodes.append(len(y))
+        return g_eval(y, params)
+
+    monkeypatch.setattr(verify_module, "g_eval", counting)
+    stored = check_bounds(prof)
+    without = check_bounds(dataclasses.replace(prof))
+    assert stored == without
+    assert nodes == [len(prof.grid) - 1 - prof.launch, len(prof.grid) - 1]
+
+
+def test_bounds_of_a_replaced_slope_recompute_g(profile_of, monkeypatch):
+    """A profile with another slope never reads the solve's stored g: its
+    steepened origin-series nodes break the upper bound there."""
+    prof = profile_of(3, 2.0)
+    dr = prof.dr.copy()
+    dr[1:prof.launch + 1] *= 2.0
+    steep = dataclasses.replace(prof, dr=dr)
+    calls = []
+
+    def counting(y, params):
+        calls.append(y)
+        return g_eval(y, params)
+
+    monkeypatch.setattr(verify_module, "g_eval", counting)
+    rep = check_bounds(steep)
+    assert [c.tobytes() for c in calls] == [steep.dr[1:].tobytes()]
+    assert not rep.passed
+    assert rep.metric > 0.0
+    assert float(rep.detail.split("at t=")[1].split(";")[0]) <= prof.grid[prof.launch]
 
 
 def test_phase_monotone(profile_of):
