@@ -17,7 +17,7 @@ import sys
 from .asymptotics import fit_far_field
 from .model import ModelParams
 from .output import _fit_record, emit_report, profile_document, scan_document, table_document
-from .profile import SolverError, solve_profile
+from .profile import SolverError, _batch_coefficients, solve_profile
 from .verify import _require_radius, default_scan_geometry, run_battery, scan_gradient_bound
 
 __all__ = ["run_cli", "main"]
@@ -63,19 +63,21 @@ def _write(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _table_cell(n: int, alpha: float, t_max: float, tol: float) -> dict:
-    profile = solve_profile(ModelParams(n, alpha), t_max, tol)
+def _table_cell(params: ModelParams, t_max: float, tol: float, series: tuple) -> dict:
+    profile = solve_profile(params, t_max, tol, _series_from=series)
     record = _fit_record(fit_far_field(profile))
     del record["window"]
-    return {"n": n, "alpha": alpha, **record}
+    return {"n": params.n, "alpha": params.alpha, **record}
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "table":
+        # One batched pass of both series recursions serves all the cells;
+        # a single cell is cheaper through the scalar recursions.
+        cells = [ModelParams(n, a) for n in TABLE_DIMENSIONS for a in TABLE_EXPONENTS]
         rows = [
-            _table_cell(n, a, args.tmax, args.tol)
-            for n in TABLE_DIMENSIONS
-            for a in TABLE_EXPONENTS
+            _table_cell(params, args.tmax, args.tol, series)
+            for params, series in zip(cells, _batch_coefficients(cells))
         ]
         _write(table_document(rows, args.format), args.out)
         return 0

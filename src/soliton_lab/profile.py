@@ -77,7 +77,16 @@ from .model import (
     g_eval,
     _slope_map_deriv,
 )
-from .series import OriginSeries, _dot, _polyval, _power_step, series_coefficients, series_eval
+from .series import (
+    OriginSeries,
+    _column_sums,
+    _dot,
+    _polyval,
+    _power_step,
+    _series_coefficients_batch,
+    series_coefficients,
+    series_eval,
+)
 
 __all__ = ["RadialProfile", "SolverError", "solve_profile"]
 
@@ -461,6 +470,49 @@ def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
     return u, w
 
 
+def _far_series_batch(params_list):
+    """:func:`_far_series` of several cells at the default order, in one pass.
+
+    The batched twin of :func:`_far_series`, bit for bit, with the cells
+    as columns.  Each sum of ``series._dot`` and ``series._power_step``
+    becomes an elementwise product of rows, summed by
+    ``series._column_sums`` in index order from +0.0; every other
+    operation is the scalar loop's, in its order.  Coefficients that leave
+    float range become the inf or nan of the scalar loop, which raises no
+    warning for them either.  Returns one (u, w) pair of lists per cell.
+    """
+    n = np.array([p.n for p in params_list], dtype=float)
+    alpha = np.array([p.alpha for p in params_list])
+    order = _FAR_ORDER
+    c = alpha * (n - 1.0)
+    beta = (alpha - 1.0) / 2.0
+    weights = (beta + 1.0) * np.arange(1.0, order + 1.0)[:, None]
+    u, w, s, q, p = (np.ones((order + 1, len(n))) for _ in range(5))
+    terms = np.zeros((order + 1, len(n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, order + 1):
+            np.multiply(u[1:k], u[k - 1:0:-1], out=terms[1:k])
+            s[k] = _column_sums(terms[:k])
+            q[k] = s[k] + 1.0 if k == 1 else s[k]
+            np.multiply(weights[:k] - k, q[1:k + 1] * p[k - 1::-1], out=terms[1:k + 1])
+            p[k] = _column_sums(terms[:k + 1]) / k
+            np.multiply(u[1:k], p[k - 1:0:-1], out=terms[1:k])
+            u[k] = (-w[k - 1] / c - _column_sums(terms[:k]) - p[k]) / alpha
+            s[k] += 2.0 * u[k]
+            q[k] += 2.0 * u[k]
+            p[k] += 2.0 * beta * u[k]
+            np.multiply(w[:k], s[k:0:-1], out=terms[1:k + 1])
+            w[k] = (2.0 * k / alpha - n) * w[k - 1] / c - _column_sums(terms[:k + 1])
+    return list(zip(u.T.tolist(), w.T.tolist()))
+
+
+def _batch_coefficients(params_list):
+    """The origin and far-field series of several cells, one pass of each
+    recursion: the (OriginSeries, (u, w)) pair of each cell, in order, as
+    ``solve_profile`` takes it in ``_series_from``."""
+    return list(zip(_series_coefficients_batch(params_list), _far_series_batch(params_list)))
+
+
 def _series_sum(c, x, cut):
     """The power series c, lowest order first, summed at x, and where it is resolved.
 
@@ -533,7 +585,7 @@ class RadialProfile:
     launch: int
     handoff: int
     # The far-field series (u, w) of _far_series, kept so that a second
-    # solve of the same params need not run its recursion again.
+    # solve of the same params can take it over with ``series``.
     _far: tuple = field(default=None, repr=False)
     # g(dr) at the origin-series nodes grid[1:launch + 1], which the solve
     # forms for z there; check_bounds reads it in place of evaluating g
@@ -655,7 +707,7 @@ def solve_profile(
     *,
     switch_radius: float = 1e-2,
     grid_spacing: float | None = None,
-    _series_from: RadialProfile | None = None,
+    _series_from: tuple[OriginSeries, tuple] | None = None,
 ) -> RadialProfile:
     """Construct the radial profile on [0, t_max].
 
@@ -711,10 +763,11 @@ def solve_profile(
         The first node of the lattice and its spacing in log t; see
         above for the default spacing and the residual it leaves.
     _series_from
-        A solved profile whose origin and far-field series coefficients
-        this solve takes over instead of running both recursions again,
-        if they were computed for the same params: they depend on
-        (n, alpha) alone.
+        A pair (OriginSeries, (u, w)) of origin and far-field series
+        coefficients, as a profile keeps them in ``series`` and ``_far``
+        or as ``_batch_coefficients`` gives them, which this solve takes
+        over instead of running both recursions, if they were computed
+        for the same params: they depend on (n, alpha) alone.
 
     Raises
     ------
@@ -749,9 +802,9 @@ def solve_profile(
             f"for alpha = {alpha:g}; lower t_max"
         )
 
-    donor = _series_from
-    if donor is not None and donor._far is not None and donor.series.params == params:
-        series, (u_far, w_far) = donor.series, donor._far
+    given_series, given_far = _series_from or (None, None)
+    if given_far is not None and given_series.params == params:
+        series, (u_far, w_far) = given_series, given_far
     else:
         series, (u_far, w_far) = series_coefficients(params), _far_series(n, alpha)
     t0 = float(switch_radius)

@@ -22,7 +22,8 @@ degree-m truncation is an even function of t, hence O(t^m) rather than
 the naive O(t^(m-1)).
 
 The recursion runs on Python floats, and every sum adds its products in
-index order (see :func:`_dot`).
+index order (see :func:`_dot`).  A batch of cells runs it once with the
+cells as columns, with the same bits (:func:`_series_coefficients_batch`).
 """
 
 from __future__ import annotations
@@ -112,6 +113,51 @@ def series_coefficients(params: ModelParams, order: int = _MAX_ORDER) -> OriginS
         s.append(_dot(y, y[::-1]))
     coeffs = tuple(yk / (2.0 * k) for k, yk in enumerate(y, start=1))
     return OriginSeries(params=params, order=order, coeffs=coeffs)
+
+
+def _column_sums(terms):
+    """The sum of each column of ``terms`` down its rows, added in row order.
+
+    Row 0 must hold zeros, so each column is summed from +0.0 as
+    :func:`_dot` and :func:`_power_step` sum it.  ``np.add.accumulate``
+    adds one row at a time, never pairwise.  It overwrites ``terms`` with
+    the partial sums, which leaves row 0 at zero for the next sum.
+    """
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]
+
+
+def _series_coefficients_batch(params_list) -> list[OriginSeries]:
+    """The origin series of several cells at the default degree, in one pass.
+
+    The batched twin of :func:`series_coefficients`, bit for bit, with the
+    cells as columns.  Each sum of :func:`_dot` and :func:`_power_step`
+    becomes an elementwise product of rows, summed by :func:`_column_sums`
+    in index order from +0.0; every other operation is the scalar loop's,
+    in its order.  The numpy calls cost more than one cell's recursion, so
+    this pays only for a batch of several cells.
+    """
+    n = np.array([p.n for p in params_list], dtype=float)
+    alpha = np.array([p.alpha for p in params_list])
+    gamma = (3.0 - alpha) / 2.0
+    m = _MAX_ORDER // 2
+    weights = (gamma + 1.0) * np.arange(1.0, m)[:, None]
+    y, s, p = (np.zeros((m, len(n))) for _ in range(3))
+    terms = np.zeros((m + 1, len(n)))
+    y[0] = 1.0 / n
+    s[0] = y[0] * y[0]
+    p[0] = 1.0
+    for k in range(1, m):
+        np.multiply(weights[:k] - k, s[:k] * p[k - 1::-1], out=terms[1:k + 1])
+        p[k] = _column_sums(terms[:k + 1]) / k
+        np.multiply(y[:k], s[k - 1::-1], out=terms[1:k + 1])
+        y[k] = (p[k] - (n - 1.0) * _column_sums(terms[:k + 1])) / (2.0 * k + n)
+        np.multiply(y[:k + 1], y[k::-1], out=terms[1:k + 2])
+        s[k] = _column_sums(terms[:k + 2])
+    coeffs = y / (2.0 * np.arange(1.0, m + 1.0))[:, None]
+    return [
+        OriginSeries(params=params, order=_MAX_ORDER, coeffs=tuple(column))
+        for params, column in zip(params_list, coeffs.T.tolist())
+    ]
 
 
 def _polyval(x, c):

@@ -373,7 +373,8 @@ def check_refinement_agreement(profile: RadialProfile) -> CheckReport:
     tol = profile.tol
     fine = solve_profile(
         profile.params, profile.t_max, max(tol / 10.0, _TOL_MIN),
-        switch_radius=profile.grid[1] / 2.0, _series_from=profile,
+        switch_radius=profile.grid[1] / 2.0,
+        _series_from=(profile.series, profile._far),
     )
     t = profile.grid[1:]
     ra = profile.r[1:]

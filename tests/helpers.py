@@ -30,6 +30,14 @@ STORED_SERIES = Path(__file__).resolve().parent / "data" / "origin_series_50_dig
 _STORED_CELLS = [(2, 0.15), (2, 5.0), (3, 2.0), (4, 1.0), (6, 0.5), (10, 0.3), (10, 10.0)]
 _STORED_ORDER = 80
 
+# The 60 cells of the envelope map, n {2, 3, 5, 7, 10} x alpha
+# {0.15, ..., 10}, n first.
+ENVELOPE_CELLS = [
+    (n, alpha)
+    for n in (2, 3, 5, 7, 10)
+    for alpha in (0.15, 0.2, 0.3, 0.4, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
+]
+
 
 def mp_series_coeffs(n, alpha, order, dps=50):
     """Origin series coefficients (a_2, a_4, ..., a_order) at high precision.

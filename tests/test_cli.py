@@ -8,7 +8,10 @@ import pytest
 
 import soliton_lab
 from soliton_lab import cli as cli_module
+from soliton_lab import profile as profile_module
+from soliton_lab.asymptotics import fit_far_field
 from soliton_lab.cli import _build_parser, run_cli
+from soliton_lab.output import _fit_record, table_document
 
 
 def test_solve_stdout_csv(capsys):
@@ -206,6 +209,35 @@ def test_table_one_row_per_grid_cell(tmp_path):
     lines = target.read_text().splitlines()
     assert len(lines) == 21
     assert lines[0].startswith("n,alpha,")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("t_max", [200.0, 2000.0])
+def test_table_is_the_document_of_per_cell_solves(profile_of, capsys, t_max, fmt):
+    """The table, whose cells take their series from one batched pass, is
+    the document built from each cell's own solve and far-field fit."""
+    rows = []
+    for n in cli_module.TABLE_DIMENSIONS:
+        for alpha in cli_module.TABLE_EXPONENTS:
+            record = _fit_record(fit_far_field(profile_of(n, alpha, t_max)))
+            del record["window"]
+            rows.append({"n": n, "alpha": alpha, **record})
+    assert run_cli(["table", "--tmax", repr(t_max), "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == table_document(rows, fmt)
+
+
+def test_table_runs_neither_scalar_recursion(monkeypatch, capsys):
+    """Every table cell takes over its pair from the one batched pass."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table ran a scalar series recursion")
+
+    for name in ("series_coefficients", "_far_series"):
+        monkeypatch.setattr(profile_module, name, refuse)
+    assert run_cli(["table", "--tmax", "25", "--tol", "1e-8"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 21
 
 
 def test_module_entry_point(tmp_path):

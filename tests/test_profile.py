@@ -13,9 +13,11 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from helpers import (
+    ENVELOPE_CELLS,
     controller_attempts,
     dop853_loop_step,
     evaluate_oracle,
@@ -41,13 +43,14 @@ from soliton_lab.profile import (
     _FAR_ORDER,
     _STIFFNESS_BUDGET,
     _T_MAX_SLACK,
+    _batch_coefficients,
     _default_spacing,
     _far_series,
     _series_sum,
     _stepper_rtol,
     solve_profile,
 )
-from soliton_lab.series import _polyval, series_eval
+from soliton_lab.series import _polyval, series_coefficients, series_eval
 from soliton_lab.verify import check_pde_residual, sample_ball
 
 
@@ -775,6 +778,50 @@ def test_far_series_leading_coefficients(n, alpha):
     assert w0 == pytest.approx(leading, rel=1e-14)
 
 
+def _assert_batch_is_the_scalar_recursions(cells):
+    params = [ModelParams(n, a) for n, a in cells]
+    pairs = _batch_coefficients(params)
+    assert len(pairs) == len(params)
+    for p, (series, (u, w)) in zip(params, pairs):
+        scalar = series_coefficients(p)
+        assert series == scalar
+        assert np.array(series.coeffs).tobytes() == np.array(scalar.coeffs).tobytes(), p
+        u_scalar, w_scalar = _far_series(p.n, p.alpha)
+        assert np.array(u).tobytes() == np.array(u_scalar).tobytes(), p
+        assert np.array(w).tobytes() == np.array(w_scalar).tobytes(), p
+        assert all(type(v) is float for v in [*series.coeffs, *u, *w])
+
+
+def test_batched_coefficients_are_the_scalar_recursions_bitwise():
+    """One batched pass gives each cell the bits of ``series_coefficients``
+    and ``_far_series``: on the 60 cells of the envelope and the 20 of the
+    grid in one batch, and on the grid alone, as ``table`` batches it."""
+    _assert_batch_is_the_scalar_recursions(ENVELOPE_CELLS + _GRID)
+    _assert_batch_is_the_scalar_recursions(_GRID)
+
+
+@given(
+    cells=st.lists(
+        st.tuples(st.integers(2, 15), st.floats(0.1, 10.0)), min_size=1, max_size=6
+    )
+)
+@seed(20250)
+@settings(max_examples=60, deadline=None)
+def test_batched_coefficients_sweep(cells):
+    _assert_batch_is_the_scalar_recursions(cells)
+
+
+def test_batched_far_series_out_of_float_range():
+    """Where the far coefficients leave float range, at (2, 5e-5), the batch
+    gives the scalar loop's inf and nan, byte for byte, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((_, (u, w)),) = _batch_coefficients([ModelParams(2, 5e-5)])
+        u_scalar, w_scalar = _far_series(2, 5e-5)
+    assert not all(math.isfinite(v) for v in [*u, *w])
+    assert np.array([u, w]).tobytes() == np.array([u_scalar, w_scalar]).tobytes()
+
+
 def test_far_series_out_of_float_range_is_never_used():
     """For tiny alpha the coefficients overflow quietly and never pass.
 
@@ -1073,12 +1120,20 @@ def test_solve_keeps_g_at_the_origin_series_nodes(profile_of):
 
 
 def test_series_of_other_params_are_not_taken_over(profile_of):
-    """A donor profile's coefficients serve only a solve of its own params."""
-    fresh = solve_profile(ModelParams(2, 0.5), 200.0, 1e-10)
+    """A pair of series coefficients serves only a solve of its own params,
+    whether a profile kept it or the batched recursions made it; a pair
+    without its far-field part is not taken over either."""
+    params = ModelParams(2, 0.5)
+    fresh = solve_profile(params, 200.0, 1e-10)
     other = profile_of(3, 2.0)
-    for donor in (other, dataclasses.replace(other, params=ModelParams(2, 0.5))):
-        given = solve_profile(ModelParams(2, 0.5), 200.0, 1e-10, _series_from=donor)
+    for pair in (
+        (other.series, other._far),
+        _batch_coefficients([other.params])[0],
+        (fresh.series, None),
+    ):
+        given = solve_profile(params, 200.0, 1e-10, _series_from=pair)
         assert given.series.coeffs == fresh.series.coeffs
+        assert given._far == fresh._far
         for name in ("r", "dr", "ddr", "dddr", "phase_z"):
             assert getattr(given, name).tobytes() == getattr(fresh, name).tobytes(), name
 

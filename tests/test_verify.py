@@ -276,7 +276,10 @@ def test_run_battery_solves_once(profile_of, monkeypatch):
     monkeypatch.setattr(verify_module, "solve_profile", recording)
     profile = profile_of(3, 2.0)
     reports = run_battery(profile)
-    assert solves == [{"switch_radius": profile.grid[1] / 2.0, "_series_from": profile}]
+    assert solves == [{
+        "switch_radius": profile.grid[1] / 2.0,
+        "_series_from": (profile.series, profile._far),
+    }]
     assert reports[-1].name == "refinement" and reports[-1].passed
 
 
