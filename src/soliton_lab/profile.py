@@ -78,12 +78,12 @@ from .model import (
     _slope_map_deriv,
 )
 from .series import (
+    _MAX_ORDER,
     OriginSeries,
-    _column_sums,
-    _dot,
+    _Floats,
+    _Rows,
     _polyval,
-    _power_step,
-    _series_coefficients_batch,
+    _slope_coefficients,
     series_coefficients,
     series_eval,
 )
@@ -447,70 +447,50 @@ def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
     below alpha of 8.5e-5 at n = 2 (2.3e-5 at n = 15), and
     :func:`_series_sum` then never reports them resolved.
 
-    As in :func:`~soliton_lab.series.series_coefficients`, the recursion
-    runs on Python floats and every sum adds its products in index order
-    (``series._dot`` and ``series._power_step``), so the coefficients do
-    not depend on the BLAS kernel.  Returns two lists of order + 1 floats.
+    Runs :func:`_far_recursion` on Python floats (see
+    :class:`~soliton_lab.series._Floats`); returns two lists of order + 1.
     """
+    return _far_recursion(n, alpha, order, _Floats)
+
+
+def _far_recursion(n, alpha, order, b):
+    """The (u, w) of :func:`_far_series` on the backend b of the series
+    recursions.  Python floats overflow to inf and nan quietly; a caller
+    on numpy rows silences numpy's warnings for them."""
     c = alpha * (n - 1.0)
     beta = (alpha - 1.0) / 2.0
     # Miller's weights (beta + 1) j, j = 1..order; order k subtracts k.
-    weights = [(beta + 1.0) * j for j in range(1, order + 1)]
-    u, w, s, q, p = [1.0], [1.0], [1.0], [1.0], [1.0]  # s = U^2, q = U^2 + x
+    weights = b.weights(beta + 1.0, order)
+    u, w, s, q, p = (b.rows(order + 1, 1.0) for _ in range(5))  # s = U^2, q = U^2 + x
+    dot, power = b.dot, b.power
     for k in range(1, order + 1):
         # Everything at order k with u_k = 0, then u_k from the constraint.
-        s.append(_dot(u[1:], u[:0:-1]))
-        q.append(s[k] + 1.0 if k == 1 else s[k])
-        p.append(_power_step(weights, q[1:], p, k))
-        u.append((-w[k - 1] / c - _dot(u[1:], p[k - 1:0:-1]) - p[k]) / alpha)
+        s[k] = dot(u[1:k], u[k - 1:0:-1])
+        q[k] = s[k] + 1.0 if k == 1 else s[k]
+        p[k] = power(weights, q[1:k + 1], p[k - 1::-1], k)
+        u[k] = (-w[k - 1] / c - dot(u[1:k], p[k - 1:0:-1]) - p[k]) / alpha
         s[k] += 2.0 * u[k]
         q[k] += 2.0 * u[k]
         p[k] += 2.0 * beta * u[k]
-        w.append((2.0 * k / alpha - n) * w[k - 1] / c - _dot(w, s[:0:-1]))
+        w[k] = (2.0 * k / alpha - n) * w[k - 1] / c - dot(w, s[k:0:-1])
     return u, w
 
 
-def _far_series_batch(params_list):
-    """:func:`_far_series` of several cells at the default order, in one pass.
-
-    The batched twin of :func:`_far_series`, bit for bit, with the cells
-    as columns.  Each sum of ``series._dot`` and ``series._power_step``
-    becomes an elementwise product of rows, summed by
-    ``series._column_sums`` in index order from +0.0; every other
-    operation is the scalar loop's, in its order.  Coefficients that leave
-    float range become the inf or nan of the scalar loop, which raises no
-    warning for them either.  Returns one (u, w) pair of lists per cell.
-    """
+def _batch_coefficients(params_list):
+    """The (OriginSeries, (u, w)) pair of each cell at the default orders,
+    as ``solve_profile`` takes it in ``_series_from``: one pass of each
+    recursion on numpy rows, with the bits of the list backend."""
+    rows = _Rows(len(params_list))
     n = np.array([p.n for p in params_list], dtype=float)
     alpha = np.array([p.alpha for p in params_list])
-    order = _FAR_ORDER
-    c = alpha * (n - 1.0)
-    beta = (alpha - 1.0) / 2.0
-    weights = (beta + 1.0) * np.arange(1.0, order + 1.0)[:, None]
-    u, w, s, q, p = (np.ones((order + 1, len(n))) for _ in range(5))
-    terms = np.zeros((order + 1, len(n)))
+    m = _MAX_ORDER // 2
+    coeffs = _slope_coefficients(n, alpha, m, rows) / (2.0 * np.arange(1.0, m + 1.0))[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, order + 1):
-            np.multiply(u[1:k], u[k - 1:0:-1], out=terms[1:k])
-            s[k] = _column_sums(terms[:k])
-            q[k] = s[k] + 1.0 if k == 1 else s[k]
-            np.multiply(weights[:k] - k, q[1:k + 1] * p[k - 1::-1], out=terms[1:k + 1])
-            p[k] = _column_sums(terms[:k + 1]) / k
-            np.multiply(u[1:k], p[k - 1:0:-1], out=terms[1:k])
-            u[k] = (-w[k - 1] / c - _column_sums(terms[:k]) - p[k]) / alpha
-            s[k] += 2.0 * u[k]
-            q[k] += 2.0 * u[k]
-            p[k] += 2.0 * beta * u[k]
-            np.multiply(w[:k], s[k:0:-1], out=terms[1:k + 1])
-            w[k] = (2.0 * k / alpha - n) * w[k - 1] / c - _column_sums(terms[:k + 1])
-    return list(zip(u.T.tolist(), w.T.tolist()))
-
-
-def _batch_coefficients(params_list):
-    """The origin and far-field series of several cells, one pass of each
-    recursion: the (OriginSeries, (u, w)) pair of each cell, in order, as
-    ``solve_profile`` takes it in ``_series_from``."""
-    return list(zip(_series_coefficients_batch(params_list), _far_series_batch(params_list)))
+        u, w = _far_recursion(n, alpha, _FAR_ORDER, rows)
+    return [
+        (OriginSeries(params=params, order=_MAX_ORDER, coeffs=tuple(a)), (uc, wc))
+        for params, a, uc, wc in zip(params_list, coeffs.T.tolist(), u.T.tolist(), w.T.tolist())
+    ]
 
 
 def _series_sum(c, x, cut):

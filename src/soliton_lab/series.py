@@ -21,9 +21,10 @@ Each order costs O(k), the whole series O(m^2).  The residual of the
 degree-m truncation is an even function of t, hence O(t^m) rather than
 the naive O(t^(m-1)).
 
-The recursion runs on Python floats, and every sum adds its products in
-index order (see :func:`_dot`).  A batch of cells runs it once with the
-cells as columns, with the same bits (:func:`_series_coefficients_batch`).
+The recursion (:func:`_slope_coefficients`), like the far-field one of
+``profile._far_recursion``, is written once over a backend that supplies
+its sums, added in index order: :class:`_Floats` runs one cell on Python
+floats, :class:`_Rows` a batch of cells as columns, with the same bits.
 """
 
 from __future__ import annotations
@@ -61,15 +62,14 @@ class OriginSeries:
 
 
 def _dot(a, b):
-    """The sum of a_j b_j over the shorter of a and b, added in index order.
+    """The sum of a_j b_j over the terms of b, added in index order.
 
     The series recursions make these sums, 1 to 40 terms long, where a
     numpy call costs more than the arithmetic.  Written out, the sum is
     also the same on every machine: a BLAS dot splits it into partial sums
     by a rule of its kernel, and ``sum`` compensates from Python 3.12 on.
-    Miller's power sums, with a weight in each term, are added in the same
-    order by :func:`_power_step`.  The far-field fit forms its normal
-    equations with it too, for that sameness alone.
+    The far-field fit forms its normal equations with it too, for that
+    sameness alone.
     """
     acc = 0.0
     for x, y in zip(a, b):
@@ -77,17 +77,85 @@ def _dot(a, b):
     return acc
 
 
-def _power_step(weights, base, p, k):
-    """p_k of P = (1 + B)^gamma by J.C.P. Miller's recurrence,
-    k p_k = sum over j = 1..k of ((gamma + 1) j - k) b_j p_(k-j).
+class _Floats:
+    """The list backend of the series recursions: one cell on Python floats.
 
-    ``weights`` holds (gamma + 1) j and ``base`` b_j for j = 1, 2, ...;
-    ``p`` holds p_0..p_(k-1).  The terms are added in order of j.
+    A recursion body reads four members of its backend b: ``b.rows(count,
+    first)``, count coefficients from ``first`` on; ``b.weights(c, count)``,
+    c j for j = 1..count; ``b.dot(x, y)``, the sum of x_j y_j; and
+    ``b.power(weights, base, p, k)``, J.C.P. Miller's step for P = (1 + B)^g,
+    k p_k = sum over j = 1..k of ((g + 1) j - k) b_j p_(k-j), given weights
+    (g + 1) j, base b_j (j = 1, 2, ...) and p = (p_(k-1), ..., p_0).  Each
+    sum adds its terms in index order from 0.0, as many as the last operand
+    holds; ``zip`` stops there, so the leading operands may be longer.
     """
-    acc = 0.0
-    for g, a, b in zip(weights, base, p[::-1]):
-        acc += (g - k) * (a * b)
-    return acc / k
+
+    @staticmethod
+    def rows(count, first):
+        return [first] * count
+
+    @staticmethod
+    def weights(c, count):
+        return [c * j for j in range(1, count + 1)]
+
+    dot = staticmethod(_dot)
+
+    @staticmethod
+    def power(weights, base, p, k):
+        acc = 0.0
+        for g, a, b in zip(weights, base, p):
+            acc += (g - k) * (a * b)
+        return acc / k
+
+
+class _Rows:
+    """The row backend: a batch of cells as the columns of numpy rows, each
+    with the bits of :class:`_Floats`.  A sum writes its products, leading
+    operands cut to the last one's length, into rows 1.. of a buffer whose
+    row 0 is zero, and ``np.add.accumulate`` adds them down the rows one at
+    a time, never pairwise: in index order from +0.0, leaving row 0 zero.
+    A dot is a view of the buffer until the next sum.  The numpy calls cost
+    more than one cell on floats, so rows pay only for several cells.
+    """
+
+    def __init__(self, cells):
+        self.cells = cells
+        self.terms = np.zeros((1, cells))
+
+    def rows(self, count, first):
+        if len(self.terms) <= count:
+            self.terms = np.zeros((count + 1, self.cells))
+        return np.full((count, self.cells), first)
+
+    @staticmethod
+    def weights(c, count):
+        return c * np.arange(1.0, count + 1.0)[:, None]
+
+    def dot(self, a, b):
+        terms = self.terms[:len(b) + 1]
+        np.multiply(a[:len(b)], b, out=terms[1:])
+        return np.add.accumulate(terms, axis=0, out=terms)[-1]
+
+    def power(self, weights, base, p, k):
+        terms = self.terms[:len(p) + 1]
+        np.multiply(weights[:len(p)] - k, base[:len(p)] * p, out=terms[1:])
+        return np.add.accumulate(terms, axis=0, out=terms)[-1] / k
+
+
+def _slope_coefficients(n, alpha, m, b):
+    """Y_0..Y_(m-1) of the slope series Y, on the backend b (see :class:`_Floats`)."""
+    gamma = (3.0 - alpha) / 2.0
+    weights = b.weights(gamma + 1.0, m - 1)
+    y = b.rows(m, 1.0 / n)
+    s = b.rows(m, y[0] * y[0])  # s = Y^2
+    p = b.rows(m, 1.0)  # p = (1 + u Y^2)^gamma
+    dot, power = b.dot, b.power
+    for k in range(1, m):
+        # Miller's recurrence with the coefficients s_(j-1) of u Y^2, j = 1..k.
+        p[k] = power(weights, s, p[k - 1::-1], k)
+        y[k] = (p[k] - (n - 1.0) * dot(y, s[k - 1::-1])) / (2.0 * k + n)
+        s[k] = dot(y, y[k::-1])
+    return y
 
 
 def series_coefficients(params: ModelParams, order: int = _MAX_ORDER) -> OriginSeries:
@@ -98,66 +166,9 @@ def series_coefficients(params: ModelParams, order: int = _MAX_ORDER) -> OriginS
         raise ValueError(
             f"series order must be an even integer in [2, {_MAX_ORDER}], got {order}"
         )
-    n, alpha = params.n, params.alpha
-    gamma = (3.0 - alpha) / 2.0
-    m = order // 2
-    # Miller's weights (gamma + 1) j, j = 1..m-1; order k subtracts k.
-    weights = [(gamma + 1.0) * j for j in range(1, m)]
-    y = [1.0 / n]
-    s = [y[0] * y[0]]  # s = Y^2
-    p = [1.0]  # p = (1 + u Y^2)^gamma
-    for k in range(1, m):
-        # Miller's recurrence with the coefficients s_(j-1) of u Y^2, j = 1..k.
-        p.append(_power_step(weights, s, p, k))
-        y.append((p[k] - (n - 1.0) * _dot(y, s[::-1])) / (2.0 * k + n))
-        s.append(_dot(y, y[::-1]))
+    y = _slope_coefficients(params.n, params.alpha, order // 2, _Floats)
     coeffs = tuple(yk / (2.0 * k) for k, yk in enumerate(y, start=1))
     return OriginSeries(params=params, order=order, coeffs=coeffs)
-
-
-def _column_sums(terms):
-    """The sum of each column of ``terms`` down its rows, added in row order.
-
-    Row 0 must hold zeros, so each column is summed from +0.0 as
-    :func:`_dot` and :func:`_power_step` sum it.  ``np.add.accumulate``
-    adds one row at a time, never pairwise.  It overwrites ``terms`` with
-    the partial sums, which leaves row 0 at zero for the next sum.
-    """
-    return np.add.accumulate(terms, axis=0, out=terms)[-1]
-
-
-def _series_coefficients_batch(params_list) -> list[OriginSeries]:
-    """The origin series of several cells at the default degree, in one pass.
-
-    The batched twin of :func:`series_coefficients`, bit for bit, with the
-    cells as columns.  Each sum of :func:`_dot` and :func:`_power_step`
-    becomes an elementwise product of rows, summed by :func:`_column_sums`
-    in index order from +0.0; every other operation is the scalar loop's,
-    in its order.  The numpy calls cost more than one cell's recursion, so
-    this pays only for a batch of several cells.
-    """
-    n = np.array([p.n for p in params_list], dtype=float)
-    alpha = np.array([p.alpha for p in params_list])
-    gamma = (3.0 - alpha) / 2.0
-    m = _MAX_ORDER // 2
-    weights = (gamma + 1.0) * np.arange(1.0, m)[:, None]
-    y, s, p = (np.zeros((m, len(n))) for _ in range(3))
-    terms = np.zeros((m + 1, len(n)))
-    y[0] = 1.0 / n
-    s[0] = y[0] * y[0]
-    p[0] = 1.0
-    for k in range(1, m):
-        np.multiply(weights[:k] - k, s[:k] * p[k - 1::-1], out=terms[1:k + 1])
-        p[k] = _column_sums(terms[:k + 1]) / k
-        np.multiply(y[:k], s[k - 1::-1], out=terms[1:k + 1])
-        y[k] = (p[k] - (n - 1.0) * _column_sums(terms[:k + 1])) / (2.0 * k + n)
-        np.multiply(y[:k + 1], y[k::-1], out=terms[1:k + 2])
-        s[k] = _column_sums(terms[:k + 2])
-    coeffs = y / (2.0 * np.arange(1.0, m + 1.0))[:, None]
-    return [
-        OriginSeries(params=params, order=_MAX_ORDER, coeffs=tuple(column))
-        for params, column in zip(params_list, coeffs.T.tolist())
-    ]
 
 
 def _polyval(x, c):
@@ -189,13 +200,15 @@ def series_eval(series: OriginSeries, t):
     ----------
     series : OriginSeries
     t : float or array_like
-        Evaluation points, t >= 0.
+        Evaluation points, finite and t >= 0.
 
     Returns
     -------
     (r, dr, ddr) : floats or ndarrays matching the shape of ``t``.
     """
     t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr)):
+        raise ValueError("series evaluation needs finite t")
     if np.any(t_arr < 0.0):
         raise ValueError("series evaluation needs t >= 0")
     # Three series in u = t^2 with coefficients a_k, k a_k and k (k - 1) a_k,

@@ -5,7 +5,8 @@ The mpmath series oracle recomputes the origin expansion independently at
 measurements (the residual of the degree-8 truncation is ~1e-24 at
 t = 1e-3, far beneath double precision).  Its degree-80 results for the
 cells the tests check in full are stored as test data; run this file
-(``PYTHONPATH=src python tests/helpers.py``) to write them again.  The
+(``PYTHONPATH=src python tests/helpers.py``) to write them again, with
+the digests of ``STORED_DIGESTS``.  The
 DOP853 oracle is the loop form of one step, driven by scipy's tables, the
 controller oracle its accept/reject loop written with min and max, the
 origin-series oracle the loop form of ``series_eval``, and the
@@ -14,8 +15,10 @@ channel.
 """
 
 import functools
+import hashlib
 import json
 import math
+import struct
 from pathlib import Path
 
 import mpmath as mp
@@ -29,6 +32,14 @@ import numpy as np
 STORED_SERIES = Path(__file__).resolve().parent / "data" / "origin_series_50_digits.json"
 _STORED_CELLS = [(2, 0.15), (2, 5.0), (3, 2.0), (4, 1.0), (6, 0.5), (10, 0.3), (10, 10.0)]
 _STORED_ORDER = 80
+
+# The sha256 of the float64 coefficients both series recursions give on
+# the grid and envelope cells, so a test pins their bits (see
+# write_stored_digests).
+STORED_DIGESTS = Path(__file__).resolve().parent / "data" / "recursion_digests.json"
+
+# The 20 cells of the acceptance grid, n 2..6 x alpha {0.5, 1, 2, 3}.
+GRID_CELLS = [(n, alpha) for n in range(2, 7) for alpha in (0.5, 1.0, 2.0, 3.0)]
 
 # The 60 cells of the envelope map, n {2, 3, 5, 7, 10} x alpha
 # {0.15, ..., 10}, n first.
@@ -417,10 +428,6 @@ def evaluate_oracle(profile, t):
     return r_out, dr_out, ddr_out
 
 
-if __name__ == "__main__":
-    write_stored_series()
-
-
 # The step-size controller's constants, as in soliton_lab.profile.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
@@ -465,3 +472,40 @@ def controller_attempts(t, h_abs, nodes, error_norms):
                 rejected = True
             t = t_new
     return attempts
+
+
+def float_digest(values):
+    """The sha256 of values as little-endian float64, in order."""
+    return hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
+
+
+def write_stored_digests(path=STORED_DIGESTS):
+    """Write the digests of both recursions' coefficients on the grid and
+    envelope cells, leaving out a cell with a non-finite coefficient: the
+    recursions use only + - * / on doubles, so their bits are the same on
+    every machine, but the payload of a NaN is not."""
+    from soliton_lab.model import ModelParams
+    from soliton_lab.profile import _far_series
+    from soliton_lab.series import series_coefficients
+
+    cells = {}
+    for n, alpha in GRID_CELLS + ENVELOPE_CELLS:
+        origin = series_coefficients(ModelParams(n, alpha)).coeffs
+        u, w = _far_series(n, alpha)
+        if all(math.isfinite(v) for v in [*origin, *u, *w]):
+            cells[f"{n},{alpha!r}"] = {"origin": float_digest(origin), "far": float_digest(u + w)}
+    doc = {
+        "about": (
+            "sha256 of the little-endian float64 coefficients of each cell 'n,alpha': "
+            "'origin' of series_coefficients(params).coeffs (degree 80), 'far' of the "
+            "lists u then w of profile._far_series(n, alpha) (order 32); regenerate with: "
+            "PYTHONPATH=src python tests/helpers.py"
+        ),
+        "cells": cells,
+    }
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    write_stored_series()
+    write_stored_digests()

@@ -18,9 +18,12 @@ from scipy.integrate import solve_ivp
 
 from helpers import (
     ENVELOPE_CELLS,
+    GRID_CELLS,
+    STORED_DIGESTS,
     controller_attempts,
     dop853_loop_step,
     evaluate_oracle,
+    float_digest,
     mp_far_series_coeffs,
     mp_series_nodes,
 )
@@ -798,6 +801,24 @@ def test_batched_coefficients_are_the_scalar_recursions_bitwise():
     grid in one batch, and on the grid alone, as ``table`` batches it."""
     _assert_batch_is_the_scalar_recursions(ENVELOPE_CELLS + _GRID)
     _assert_batch_is_the_scalar_recursions(_GRID)
+
+
+def test_recursions_reproduce_the_stored_digests():
+    """The list path and one batched pass both give the coefficient bytes
+    stored in ``STORED_DIGESTS``, on all 20 grid and 60 envelope cells.
+    Every sum runs in index order on doubles, so the bytes hold on any
+    machine; ``PYTHONPATH=src python tests/helpers.py`` writes them."""
+    stored = json.loads(STORED_DIGESTS.read_text())["cells"]
+    cells = list(dict.fromkeys(GRID_CELLS + ENVELOPE_CELLS))
+    assert sorted(stored) == sorted(f"{n},{alpha!r}" for n, alpha in cells)
+    params = [ModelParams(n, alpha) for n, alpha in cells]
+    for p, (series, (u, w)) in zip(params, _batch_coefficients(params)):
+        want = stored[f"{p.n},{p.alpha!r}"]
+        u_list, w_list = _far_series(p.n, p.alpha)
+        assert float_digest(series_coefficients(p).coeffs) == want["origin"], p
+        assert float_digest(u_list + w_list) == want["far"], p
+        assert float_digest(series.coeffs) == want["origin"], p
+        assert float_digest(u + w) == want["far"], p
 
 
 @given(

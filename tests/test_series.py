@@ -1,4 +1,5 @@
 import json
+import math
 
 import mpmath as mp
 import numpy as np
@@ -103,6 +104,10 @@ def test_eval_rejects_negative():
         series_eval(s, -0.25)
     with pytest.raises(ValueError):
         series_eval(s, np.array([0.0, -1e-9]))
+    # NaN passed the t >= 0 test, and inf raised a RuntimeWarning.
+    for bad in (math.nan, math.inf, -math.inf, np.array([0.0, math.nan, 0.01])):
+        with pytest.raises(ValueError, match="finite"):
+            series_eval(s, bad)
 
 
 def test_eval_shapes():
