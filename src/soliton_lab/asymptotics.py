@@ -36,13 +36,24 @@ __all__ = [
 ]
 
 
+def _finite(x, name: str) -> np.ndarray:
+    """x as a float array, refused unless every element is finite: NaN
+    passes a sign check and comes back as nan, and an infinite t or s
+    makes the terms warn or come back as nan or -inf."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"far-field expansion needs finite {name}")
+    return x
+
+
 def asymptotic_eval(params: ModelParams, C1: float | None, t):
     """Truncated far-field expansion of r(t).
 
     ``C1`` must be supplied exactly on the alpha = 1 branch (where the
     expansion contains the free constant) and must be omitted elsewhere.
+    ``t`` must be finite and positive.
     """
-    t = np.asarray(t, dtype=float)
+    t = _finite(t, "t")
     if np.any(t <= 0.0):
         raise ValueError("far-field expansion needs t > 0")
     leading, second = expected_coefficients(params)
@@ -65,8 +76,9 @@ def asymptotic_y(params: ModelParams, s):
     This is d/dt of :func:`asymptotic_eval`, term by term:
     alpha = 1: e^s/(n-1) - e^{-s} + (n-1)(n-4) e^{-3s}  (three terms);
     otherwise e^{s/alpha} ((n-1)^(-1/alpha) - B e^{-2s/alpha})  (two terms).
+    ``s`` must be finite.
     """
-    t = np.exp(np.asarray(s, dtype=float))
+    t = np.exp(_finite(s, "s"))
     leading, second = expected_coefficients(params)
     p, q = _powers(params.alpha)
     out = leading * p * t ** (p - 1.0) + second * q * t ** (q - 1.0)
@@ -82,8 +94,9 @@ def asymptotic_z(params: ModelParams, s):
 
     alpha = 1: -(n-1) e^{-2s} + (n-1)^2 (n-4) e^{-4s};
     otherwise the leading term -(1/alpha) (n-1)^(2/alpha - 1) e^{-2s/alpha}.
+    ``s`` must be finite.
     """
-    s = np.asarray(s, dtype=float)
+    s = _finite(s, "s")
     n, alpha = params.n, params.alpha
     if is_log_branch(alpha):
         out = -(n - 1.0) * np.exp(-2.0 * s) + (n - 1.0) ** 2 * (n - 4.0) * np.exp(-4.0 * s)

@@ -524,10 +524,10 @@ def _second_and_third(alpha: float, t, y, z, big_f):
     The naive form wp - (n-1) y (1+y^2)/t cancels catastrophically in the
     far field: for alpha < 1 both terms reach 1e16 while their difference
     stays of order t, so r'' would keep only a handful of digits and r'''
-    none at all.  The defect form has no such subtraction, given F: the
-    caller forms F = 1 + (n + alpha (n-1) y^2) z only up to the handoff,
-    and past it, where alpha (n-1) y^2 z -> -1 and that sum cancels, takes
-    F from the far series.
+    none at all.  The defect form has no such subtraction, given F:
+    :meth:`RadialProfile._form_derived` forms F = 1 + (n + alpha (n-1) y^2) z
+    only up to the handoff, and past it, where alpha (n-1) y^2 z -> -1 and
+    that sum cancels, the solve takes F from the far series.
     """
     w = 1.0 + y * y
     wp = w ** ((3.0 - alpha) / 2.0)
@@ -536,6 +536,39 @@ def _second_and_third(alpha: float, t, y, z, big_f):
     return f2, f3
 
 
+class _FormedOnRead:
+    """A derived array of :class:`RadialProfile`, held in the instance
+    dict under its own name.  Reading or writing it on a solved profile
+    whose derived arrays are not formed yet forms all four first; a
+    profile that holds none of it (``_origin_g`` outside a solve) reads
+    None."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __get__(self, profile, owner=None):
+        if profile is None:
+            return self
+        slots = vars(profile)
+        if "_unformed" in slots:
+            profile._form_derived()
+        return slots.get(self.name)
+
+    def __set__(self, profile, value):
+        if "_unformed" in vars(profile):
+            profile._form_derived()
+        vars(profile)[self.name] = value
+
+
+def _formed_on_read(cls):
+    """Put a :class:`_FormedOnRead` over each derived field of cls; the
+    dataclass fields keep their defaults, ``init`` and ``repr``."""
+    for name in ("phase_z", "ddr", "dddr", "_origin_g"):
+        setattr(cls, name, _FormedOnRead(name))
+    return cls
+
+
+@_formed_on_read
 @dataclass(eq=False)
 class RadialProfile:
     """Sampled radial profile r(t) with first and second derivatives.
@@ -543,6 +576,14 @@ class RadialProfile:
     ``grid`` starts at t = 0 (where r = dr = 0 and ddr = 1/n) and is
     uniform in log t from its first lattice node ``grid[1]`` outward.
     Arrays are owned by the profile and must not be mutated.
+
+    A profile from :func:`solve_profile` forms ``ddr``, ``dddr``,
+    ``phase_z`` and ``_origin_g`` together, once, on the first read (or
+    write) of any of them, so a caller of ``grid``, ``r`` and ``dr`` alone,
+    such as :func:`~soliton_lab.asymptotics.fit_far_field`, never pays for
+    them; the formulas are the solve's, and so are the bits.  A profile
+    built by hand or by ``dataclasses.replace`` holds the arrays it is
+    given.
 
     ``launch`` and ``handoff`` record where the solver's regimes meet, as
     indices into ``grid``.  The origin series fills ``grid[:launch + 1]``
@@ -567,11 +608,35 @@ class RadialProfile:
     # The far-field series (u, w) of _far_series, kept so that a second
     # solve of the same params can take it over with ``series``.
     _far: tuple = field(default=None, repr=False)
-    # g(dr) at the origin-series nodes grid[1:launch + 1], which the solve
-    # forms for z there; check_bounds reads it in place of evaluating g
-    # again.  Set by solve_profile alone, so a profile built by hand or by
+    # g(dr) at the origin-series nodes grid[1:launch + 1], formed for z
+    # there; check_bounds reads it in place of evaluating g again.  Formed
+    # for a solved profile alone, so a profile built by hand or by
     # dataclasses.replace holds None and never an array of other nodes.
     _origin_g: np.ndarray = field(default=None, init=False, repr=False)
+
+    def _form_derived(self):
+        """Form ``phase_z``, ``ddr``, ``dddr`` and ``_origin_g`` from the
+        node arrays (z, F) that :func:`solve_profile` left in
+        ``_unformed``, z filled past the launch node and F past the
+        handoff: z at the origin-series nodes from g(dr) there, F up to
+        the handoff from the defect, then r'' and r''' (see
+        :func:`_second_and_third`)."""
+        z, big_f = vars(self).pop("_unformed")
+        params, near, tail = self.params, self.launch, self.handoff
+        n, alpha = params.n, params.alpha
+        t, y = self.grid[1:], self.dr[1:]
+        origin_g = g_eval(y[:near], params)
+        z[:near] = (n - 1.0) * origin_g / t[:near] - 1.0
+        c = alpha * float(n - 1)
+        y_in = y[:tail]
+        big_f[:tail] = 1.0 + (n + c * y_in * y_in) * z[:tail]
+        ddr, dddr = _second_and_third(alpha, t, y, z, big_f)
+        vars(self).update(
+            phase_z=z,
+            ddr=np.concatenate(([2.0 * self.series.coeffs[0]], ddr)),
+            dddr=dddr,
+            _origin_g=origin_g,
+        )
 
     @property
     def t_max(self) -> float:
@@ -719,6 +784,13 @@ def solve_profile(
     |z - z_series| <= atol + rtol |z|, the stepper's error scale; a wider
     gap raises :class:`SolverError`.
 
+    The solve itself forms r, r', the stepped z and, past the handoff, the
+    far series' z and F = -t dz/dt; it evaluates g at the launch node
+    alone, for the stepper's starting z.  z at the other origin-series
+    nodes, r'' and r''' are formed on the first read of ``ddr``, ``dddr``
+    or ``phase_z`` (see :class:`RadialProfile`), so a caller that reads
+    only ``grid``, ``r`` and ``dr`` never pays for them.
+
     ``grid_spacing`` defaults to 0.01 for alpha >= 1 and 0.00325 below:
     the transition region steepens like 2/alpha in log t.  The default
     does not keep the phase residual of
@@ -829,9 +901,6 @@ def solve_profile(
             break
         start, t_bound = stop, 4.0 * t_bound
     launch = max(first_miss - 1, 0)
-    near = slice(0, launch + 1)
-    origin_g = g_eval(y_nodes[near], params)
-    z_nodes[near] = (n - 1.0) * origin_g / t_arr[near] - 1.0
 
     rtol = _stepper_rtol(tol)
     # Absolute floor for the defect channel z.  Downstream consumers need
@@ -839,9 +908,13 @@ def solve_profile(
     # the explicit method error-strangled far below its stability limit.
     atol = 1e-13
     if launch < n_seg:
+        # z at the launch node alone; at the other origin-series nodes it is
+        # formed with r'' and r''' (see RadialProfile).
+        t_launch, y_launch = t_nodes[launch], float(y_nodes[launch])
+        z_launch = (n - 1.0) * g_eval(y_launch, params) / t_launch - 1.0
         stepper = _CarriedSlopeStepper(
-            n, alpha, t_nodes[launch], float(r_nodes[launch]),
-            float(z_nodes[launch]), float(y_nodes[launch]), t_max, rtol=rtol, atol=atol,
+            n, alpha, t_launch, float(r_nodes[launch]), z_launch, y_launch, t_max,
+            rtol=rtol, atol=atol,
         )
         step = stepper._rk_step
         t, r, z, y, f, h_abs = stepper.t, stepper.r, stepper.z, stepper.y, stepper.f, stepper.h_abs
@@ -971,28 +1044,21 @@ def solve_profile(
         resonant = t_lead[0] * u_far[kr] * x_h[0] ** kr * factor
         r_nodes[tail:] = r_nodes[h] + (integral[1:] - integral[0]) + resonant
         big_f[tail:] = -2.0 * x_h[1:] / (alpha * c) * f_sum[h - launch:]
-    y, z = y_nodes[:tail], z_nodes[:tail]
-    big_f[:tail] = 1.0 + (n + c * y * y) * z
-    ddr_nodes, dddr_nodes = _second_and_third(alpha, t_arr, y_nodes, z_nodes, big_f)
-
-    r = np.concatenate(([0.0], r_nodes))
-    dr = np.concatenate(([0.0], y_nodes))
-    ddr = np.concatenate(([2.0 * series.coeffs[0]], ddr_nodes))
 
     profile = RadialProfile(
         params=params,
         grid=grid,
-        r=r,
-        dr=dr,
-        ddr=ddr,
+        r=np.concatenate(([0.0], r_nodes)),
+        dr=np.concatenate(([0.0], y_nodes)),
+        ddr=None,
         tol=tol,
         series=series,
-        phase_z=z_nodes,
-        dddr=dddr_nodes,
+        phase_z=None,
+        dddr=None,
         launch=launch + 1,  # grid has the axis in front of t_nodes
         handoff=tail,
         _far=(u_far, w_far),
     )
-    profile._origin_g = origin_g
+    profile._unformed = (z_nodes, big_f)
     return profile
 

@@ -84,8 +84,9 @@ def check_bounds(profile: RadialProfile, margin_rate: float | None = None) -> Ch
     max(t/n - g(r'), g(r') - t/(n-1), -r''), normalized by (1 + t); the
     tolerance is -margin_rate, so passing means every strict inequality
     holds with margin margin_rate*(1+t).  Default margin_rate is 10*tol.
-    At the origin-series nodes g(r') is the one the solve formed for z
-    there, when the profile holds it; g is evaluated at every other node,
+    At the origin-series nodes g(r') is the one a solved profile formed
+    for z there, together with r'', r''' and z, on the first read of any
+    of them (here, of ``_origin_g``); g is evaluated at every other node,
     and at every node of a profile that holds none.
     """
     if margin_rate is None:

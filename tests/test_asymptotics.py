@@ -78,6 +78,21 @@ def test_eval_input_checks():
         asymptotic_eval(ModelParams(2, 2.0), None, np.array([1.0, -2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.array([1.0, np.nan, 2.0])])
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_expansions_refuse_non_finite_input(alpha, bad):
+    """NaN passed the t > 0 check and came back as nan, and an infinite t
+    or s warned or came back as nan or -inf."""
+    params = ModelParams(3, alpha)
+    c1 = 0.3 if alpha == 1.0 else None
+    with pytest.raises(ValueError, match="finite t"):
+        asymptotic_eval(params, c1, bad)
+    with pytest.raises(ValueError, match="finite s"):
+        asymptotic_y(params, bad)
+    with pytest.raises(ValueError, match="finite s"):
+        asymptotic_z(params, bad)
+
+
 def test_fit_log_branch_constant(profile_of):
     fit = fit_far_field(profile_of(2, 1.0), window=(100.0, 200.0))
     assert fit.fitted_leading == 0.5

@@ -30,7 +30,7 @@ from helpers import (
 import soliton_lab
 from soliton_lab import profile as profile_module
 from soliton_lab import series as series_module
-from soliton_lab.asymptotics import asymptotic_z
+from soliton_lab.asymptotics import asymptotic_z, fit_far_field
 from soliton_lab.model import (
     ModelParams,
     _slope_map_deriv,
@@ -1129,15 +1129,58 @@ def test_radius_is_evaluates_r_bitwise(profile_of, n, alpha):
         assert value.hex() == expected.hex() == prof.evaluate(ti)[0].hex(), ti
 
 
-def test_solve_keeps_g_at_the_origin_series_nodes(profile_of):
-    """The solve keeps g(dr) of the nodes the origin series fills, and a
-    profile made by ``dataclasses.replace`` holds none."""
-    prof = profile_of(3, 2.0)
-    stored = prof._origin_g
-    assert len(stored) == prof.launch
-    assert stored.tobytes() == g_eval(prof.dr[1:prof.launch + 1], prof.params).tobytes()
-    assert dataclasses.replace(prof)._origin_g is None
+_DERIVED = ("phase_z", "ddr", "dddr", "_origin_g")
+
+
+@pytest.mark.parametrize("first", _DERIVED)
+def test_solve_forms_derived_arrays_on_first_read(monkeypatch, profile_of, first):
+    """A solve and a far-field fit of it evaluate g at the launch node alone
+    and form no r'' or r'''.  The first read of any of ``phase_z``,
+    ``ddr``, ``dddr`` and ``_origin_g`` forms all four, once, with the bits
+    whichever is read first; ``_origin_g`` is g(dr) at the origin-series
+    nodes.  A ``dataclasses.replace`` copy keeps the arrays and holds no
+    ``_origin_g``."""
+    reference = {name: getattr(profile_of(3, 2.0), name) for name in _DERIVED}
+    g_sizes, formed = [], []
+    g_eval_of, second_and_third = profile_module.g_eval, profile_module._second_and_third
+
+    def counted_g(y, params):
+        g_sizes.append(np.size(y))
+        return g_eval_of(y, params)
+
+    def counted_second_and_third(*args):
+        formed.append(args)
+        return second_and_third(*args)
+
+    monkeypatch.setattr(profile_module, "g_eval", counted_g)
+    monkeypatch.setattr(profile_module, "_second_and_third", counted_second_and_third)
+    prof = solve_profile(ModelParams(3, 2.0), 200.0, 1e-10)
+    fit_far_field(prof)
+    assert g_sizes == [1] and not formed
+    held = {name: getattr(prof, name) for name in (first, *_DERIVED)}
+    assert g_sizes == [1, prof.launch] and len(formed) == 1
+    for name, value in held.items():
+        assert getattr(prof, name) is value, name
+        assert value.tobytes() == reference[name].tobytes(), name
+    assert len(formed) == 1
+    origin = g_eval(prof.dr[1:prof.launch + 1], prof.params)
+    assert len(origin) == prof.launch
+    assert prof._origin_g.tobytes() == origin.tobytes()
+    copy = dataclasses.replace(prof)
+    assert copy._origin_g is None
+    for name in _DERIVED[:3]:
+        assert getattr(copy, name) is held[name], name
     assert dataclasses.replace(prof, dr=2.0 * prof.dr)._origin_g is None
+
+
+def test_a_write_before_the_first_read_is_kept():
+    """Writing one derived array of a solved profile forms the others
+    first, so a later read of them does not overwrite the write."""
+    prof = solve_profile(ModelParams(3, 2.0), 200.0, 1e-10)
+    ddr = np.zeros(len(prof.grid))
+    prof.ddr = ddr
+    assert prof.dddr is not None
+    assert prof.ddr is ddr
 
 
 def test_series_of_other_params_are_not_taken_over(profile_of):
