@@ -49,8 +49,9 @@ def _finite(x, name: str) -> np.ndarray:
 def asymptotic_eval(params: ModelParams, C1: float | None, t):
     """Truncated far-field expansion of r(t).
 
-    ``C1`` must be supplied exactly on the alpha = 1 branch (where the
-    expansion contains the free constant) and must be omitted elsewhere.
+    ``C1``, a finite float, must be supplied exactly on the alpha = 1
+    branch (where the expansion contains the free constant) and must be
+    omitted elsewhere.
     ``t`` must be finite and positive.
     """
     t = _finite(t, "t")
@@ -60,8 +61,8 @@ def asymptotic_eval(params: ModelParams, C1: float | None, t):
     p, q = _powers(params.alpha)
     out = leading * t ** p + second * t ** q
     if is_log_branch(params.alpha):
-        if C1 is None:
-            raise ValueError("alpha = 1 expansion needs the constant C1")
+        if C1 is None or not math.isfinite(C1):
+            raise ValueError("alpha = 1 expansion needs a finite constant C1")
         out = out + C1 - np.log(t)
     elif C1 is not None:
         raise ValueError("C1 is defined only on the alpha = 1 branch")

@@ -17,7 +17,8 @@ import sys
 from .asymptotics import fit_far_field
 from .model import ModelParams
 from .output import _fit_record, emit_report, profile_document, scan_document, table_document
-from .profile import SolverError, _batch_coefficients, solve_profile
+from .profile import SolverError, solve_profile
+from .series import _batch_coefficients
 from .verify import _require_radius, default_scan_geometry, run_battery, scan_gradient_bound
 
 __all__ = ["run_cli", "main"]

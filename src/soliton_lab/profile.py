@@ -56,6 +56,9 @@ integrates exactly from the handoff node, where the radius is matched
 (the matched integration constant of Bender and Orszag, Advanced
 Mathematical Methods, ch. 9).
 
+Both series, their recursions and their sums live in
+:mod:`soliton_lab.series`; this module holds the solver.
+
 Grid nodes are exact integrator step endpoints in the explicit stretch:
 the node loop of :func:`solve_profile` runs DOP853's accept/reject loop on
 Python floats up to each node of a grid uniform in s = log t, from the
@@ -78,12 +81,9 @@ from .model import (
     _slope_map_deriv,
 )
 from .series import (
-    _MAX_ORDER,
     OriginSeries,
-    _Floats,
-    _Rows,
-    _polyval,
-    _slope_coefficients,
+    _far_series,
+    _series_sum,
     series_coefficients,
     series_eval,
 )
@@ -138,24 +138,6 @@ def _stepper_rtol(tol: float) -> float:
 # 3e-16, so the nodes there still do not depend on tol.
 _FAR_CUT = 1e-2
 
-# Order of the far-field series past the explicit stretch.  Its
-# coefficients grow factorially (see _far_series), so the order is fixed
-# and the handoff waits until the last term is within the cut above.  A
-# last term of order N falls below the cut of the default tol, 1e-14,
-# earliest near N = ln(1e14), about 32, and the recursion (2 N^2
-# multiply-adds) and every far sum grow with N.  The n 2..6 x alpha
-# {0.5, 1, 2, 3} grid at t_max 200 takes 4,801 DOP853 steps at order 24,
-# 4,638 at 28, 4,559 at 32, 4,543 at 34, 4,542 at 36, 4,555 at 40 and
-# 4,644 at 48; its solve time, measured in-process, moves less than its
-# noise from 24 to 36 and rises from 40 on, so 32 keeps near the fewest
-# steps with 2,048 multiply-adds where 36 takes 2,592.  On n in
-# {2, 3, 5, 7, 10} x alpha {0.15, 0.2, 0.3, 0.4, 0.5, 0.75, 1, 1.5, 2, 3,
-# 5, 10} at tol 1e-10 the wait still binds in 48 of the 58 cells that
-# return a profile at t_max 200 and in 47 at 2000: z already agrees with
-# the 32-term sum 1 to 92 nodes earlier.
-_FAR_ORDER = 32
-
-
 class SolverError(RuntimeError):
     """No trustworthy profile.
 
@@ -193,10 +175,10 @@ class _CarriedSlopeStepper:
     step is below 2.3e-15 t, which ten ulps never exceed.  Each node's y
     is the one the last step returned, and the next step starts from that
     state and its rhs, so the constraint holds to the stepper's error (at
-    most 1.7e-14 relative on the surveyed range).  Projecting y back onto it by an inversion at
-    every node (Hairer, Lubich and Wanner, Geometric Numerical
-    Integration, IV.4) moved r by at most 7.4e-14 relative and changed no
-    check's verdict, so the stepper does not.
+    most 1.7e-14 relative on the surveyed range).  Projecting y back onto
+    it by an inversion at every node (Hairer, Lubich and Wanner, Geometric
+    Numerical Integration, IV.4) moved r by at most 7.4e-14 relative and
+    changed no check's verdict, so the stepper does not.
 
     The state is three Python floats, where array arithmetic costs more
     than it saves, and :meth:`_rk_step` is straight-line code with the
@@ -422,95 +404,6 @@ class _CarriedSlopeStepper:
         else:
             error_norm = abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
         return (r_new, z_new, y_new), f_new, error_norm
-
-
-def _far_series(n: int, alpha: float, order: int = _FAR_ORDER):
-    """Coefficients of the slow manifold as power series in x = ((n-1)/t)^(2/alpha).
-
-    Written as y = (t/(n-1))^(1/alpha) U(x) and z = -(x/c) W(x) with
-    c = alpha (n - 1), the constraint and the z equation become
-
-        U (U^2 + x)^beta = 1 - x W/c,                   beta = (alpha-1)/2,
-        (2/(alpha c)) (x W + x^2 W') = n x W/c + W U^2 - 1,
-
-    so U(0) = W(0) = 1.  Matching powers of x is triangular: the constraint
-    at order k fixes u_k (it enters with weight alpha) from w_{k-1}, then
-    the z equation fixes w_k.  The power P = (U^2 + x)^beta is carried by
-    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).  In the
-    variables t^(1/alpha) sum u'_k eps^k, eps sum w'_k eps^k of eps =
-    t^(-2/alpha) the coefficients are u'_k = u_k (n-1)^((2k-1)/alpha) and
-    w'_k = -w_k (n-1)^((2k+2)/alpha)/c; the scaling keeps them in float
-    range for small alpha and large n.  They grow like k! (2/(alpha c))^k,
-    so the series is asymptotic, and a fixed order serves every cell once
-    the caller waits for its last term to be negligible.  At the default
-    order the last coefficients leave float range, and become inf or nan,
-    below alpha of 8.5e-5 at n = 2 (2.3e-5 at n = 15), and
-    :func:`_series_sum` then never reports them resolved.
-
-    Runs :func:`_far_recursion` on Python floats (see
-    :class:`~soliton_lab.series._Floats`); returns two lists of order + 1.
-    """
-    return _far_recursion(n, alpha, order, _Floats)
-
-
-def _far_recursion(n, alpha, order, b):
-    """The (u, w) of :func:`_far_series` on the backend b of the series
-    recursions.  Python floats overflow to inf and nan quietly; a caller
-    on numpy rows silences numpy's warnings for them."""
-    c = alpha * (n - 1.0)
-    beta = (alpha - 1.0) / 2.0
-    # Miller's weights (beta + 1) j, j = 1..order; order k subtracts k.
-    weights = b.weights(beta + 1.0, order)
-    u, w, s, q, p = (b.rows(order + 1, 1.0) for _ in range(5))  # s = U^2, q = U^2 + x
-    dot, power = b.dot, b.power
-    for k in range(1, order + 1):
-        # Everything at order k with u_k = 0, then u_k from the constraint.
-        s[k] = dot(u[1:k], u[k - 1:0:-1])
-        q[k] = s[k] + 1.0 if k == 1 else s[k]
-        p[k] = power(weights, q[1:k + 1], p[k - 1::-1], k)
-        u[k] = (-w[k - 1] / c - dot(u[1:k], p[k - 1:0:-1]) - p[k]) / alpha
-        s[k] += 2.0 * u[k]
-        q[k] += 2.0 * u[k]
-        p[k] += 2.0 * beta * u[k]
-        w[k] = (2.0 * k / alpha - n) * w[k - 1] / c - dot(w, s[k:0:-1])
-    return u, w
-
-
-def _batch_coefficients(params_list):
-    """The (OriginSeries, (u, w)) pair of each cell at the default orders,
-    as ``solve_profile`` takes it in ``_series_from``: one pass of each
-    recursion on numpy rows, with the bits of the list backend."""
-    rows = _Rows(len(params_list))
-    n = np.array([p.n for p in params_list], dtype=float)
-    alpha = np.array([p.alpha for p in params_list])
-    m = _MAX_ORDER // 2
-    coeffs = _slope_coefficients(n, alpha, m, rows) / (2.0 * np.arange(1.0, m + 1.0))[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        u, w = _far_recursion(n, alpha, _FAR_ORDER, rows)
-    return [
-        (OriginSeries(params=params, order=_MAX_ORDER, coeffs=tuple(a)), (uc, wc))
-        for params, a, uc, wc in zip(params_list, coeffs.T.tolist(), u.T.tolist(), w.T.tolist())
-    ]
-
-
-def _series_sum(c, x, cut):
-    """The power series c, lowest order first, summed at x, and where it is resolved.
-
-    Element-wise in x: ``resolved`` is where the last term is at most cut
-    times the sum.  It is False where the sum is not finite, and
-    everywhere when the last coefficient is not, so a series that
-    overflows at x or whose coefficients left float range is never used.
-    The sum is returned everywhere, so a caller fills its nodes from it.
-    A stack c of shape (order + 1, m, 1) sums m series of one order in
-    one Horner pass (see :func:`~soliton_lab.series._polyval`); the sums
-    and ``resolved`` then have a row per series.
-    """
-    last = c[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = _polyval(x, c)
-        return total, np.isfinite(last) & np.isfinite(total) & (
-            np.abs(last) * x ** (len(c) - 1) <= cut * np.abs(total)
-        )
 
 
 def _second_and_third(alpha: float, t, y, z, big_f):
@@ -817,9 +710,11 @@ def solve_profile(
     _series_from
         A pair (OriginSeries, (u, w)) of origin and far-field series
         coefficients, as a profile keeps them in ``series`` and ``_far``
-        or as ``_batch_coefficients`` gives them, which this solve takes
-        over instead of running both recursions, if they were computed
-        for the same params: they depend on (n, alpha) alone.
+        or as :func:`~soliton_lab.series._batch_coefficients` gives them
+        for many cells at once, which this solve takes over instead of
+        running both recursions of :mod:`soliton_lab.series`, if they
+        were computed for the same params: they depend on (n, alpha)
+        alone.
 
     Raises
     ------

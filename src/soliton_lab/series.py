@@ -1,4 +1,4 @@
-"""Near-origin power series of the radial profile.
+"""The two expansions of the radial profile: at the axis and in the far field.
 
 The profile equation forces r(0) = r'(0) = 0 and r''(0) = 1/n, and all odd
 Taylor coefficients vanish.  The even series
@@ -21,10 +21,19 @@ Each order costs O(k), the whole series O(m^2).  The residual of the
 degree-m truncation is an even function of t, hence O(t^m) rather than
 the naive O(t^(m-1)).
 
-The recursion (:func:`_slope_coefficients`), like the far-field one of
-``profile._far_recursion``, is written once over a backend that supplies
-its sums, added in index order: :class:`_Floats` runs one cell on Python
-floats, :class:`_Rows` a batch of cells as columns, with the same bits.
+Far from the axis the profile follows its slow manifold, a power series
+in x = ((n - 1)/t)^(2/alpha) behind
+
+    r ~ L t^(1 + 1/alpha) - C t^(1 - 1/alpha),
+    L = alpha/(alpha + 1) (n - 1)^(-1/alpha),
+
+whose coefficients :func:`_far_series` fixes order by order.  The solver
+(:mod:`soliton_lab.profile`) sums both series with :func:`_series_sum`.
+
+Each recursion is written once over a backend that supplies its sums,
+added in index order: :class:`_Floats` runs one cell on Python floats,
+:class:`_Rows` a batch of cells as columns, with the same bits, and
+:func:`_batch_coefficients` runs both recursions for many cells at once.
 """
 
 from __future__ import annotations
@@ -47,6 +56,23 @@ __all__ = ["OriginSeries", "series_coefficients", "series_eval"]
 # degree 64 to 120 its solve time is flat within the noise, as the longer
 # sums eat what the fewer steps save.
 _MAX_ORDER = 80
+
+# Order of the far-field series past the explicit stretch.  Its
+# coefficients grow factorially (see _far_series), so the order is fixed
+# and the handoff waits until the last term is within the solver's cut
+# (``profile._FAR_CUT``).  A last term of order N falls below the cut of
+# the default tol, 1e-14, earliest near N = ln(1e14), about 32, and the
+# recursion (2 N^2 multiply-adds) and every far sum grow with N.  The n 2..6 x alpha
+# {0.5, 1, 2, 3} grid at t_max 200 takes 4,801 DOP853 steps at order 24,
+# 4,638 at 28, 4,559 at 32, 4,543 at 34, 4,542 at 36, 4,555 at 40 and
+# 4,644 at 48; its solve time, measured in-process, moves less than its
+# noise from 24 to 36 and rises from 40 on, so 32 keeps near the fewest
+# steps with 2,048 multiply-adds where 36 takes 2,592.  On n in
+# {2, 3, 5, 7, 10} x alpha {0.15, 0.2, 0.3, 0.4, 0.5, 0.75, 1, 1.5, 2, 3,
+# 5, 10} at tol 1e-10 the wait still binds in 48 of the 58 cells that
+# return a profile at t_max 200 and in 47 at 2000: z already agrees with
+# the 32-term sum 1 to 92 nodes earlier.
+_FAR_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -171,6 +197,70 @@ def series_coefficients(params: ModelParams, order: int = _MAX_ORDER) -> OriginS
     return OriginSeries(params=params, order=order, coeffs=coeffs)
 
 
+def _far_series(n, alpha, order=_FAR_ORDER, b=_Floats):
+    """Coefficients of the slow manifold as power series in x = ((n-1)/t)^(2/alpha).
+
+    Written as y = (t/(n-1))^(1/alpha) U(x) and z = -(x/c) W(x) with
+    c = alpha (n - 1), the constraint and the z equation become
+
+        U (U^2 + x)^beta = 1 - x W/c,                   beta = (alpha-1)/2,
+        (2/(alpha c)) (x W + x^2 W') = n x W/c + W U^2 - 1,
+
+    so U(0) = W(0) = 1.  Matching powers of x is triangular: the constraint
+    at order k fixes u_k (it enters with weight alpha) from w_{k-1}, then
+    the z equation fixes w_k.  The power P = (U^2 + x)^beta is carried by
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).  In the
+    variables t^(1/alpha) sum u'_k eps^k, eps sum w'_k eps^k of eps =
+    t^(-2/alpha) the coefficients are u'_k = u_k (n-1)^((2k-1)/alpha) and
+    w'_k = -w_k (n-1)^((2k+2)/alpha)/c; the scaling keeps them in float
+    range for small alpha and large n.  They grow like k! (2/(alpha c))^k,
+    so the series is asymptotic, and a fixed order serves every cell once
+    the caller waits for its last term to be negligible.  At the default
+    order the last coefficients leave float range, and become inf or nan,
+    below alpha of 8.5e-5 at n = 2 (2.3e-5 at n = 15), and
+    :func:`_series_sum` then never reports them resolved.
+
+    Runs on the backend b of the series recursions (see :class:`_Floats`)
+    and returns u and w, order + 1 coefficients each: lists on Python
+    floats, which overflow to inf and nan quietly, or rows on
+    :class:`_Rows`, whose caller silences numpy's warnings for them.
+    """
+    c = alpha * (n - 1.0)
+    beta = (alpha - 1.0) / 2.0
+    # Miller's weights (beta + 1) j, j = 1..order; order k subtracts k.
+    weights = b.weights(beta + 1.0, order)
+    u, w, s, q, p = (b.rows(order + 1, 1.0) for _ in range(5))  # s = U^2, q = U^2 + x
+    dot, power = b.dot, b.power
+    for k in range(1, order + 1):
+        # Everything at order k with u_k = 0, then u_k from the constraint.
+        s[k] = dot(u[1:k], u[k - 1:0:-1])
+        q[k] = s[k] + 1.0 if k == 1 else s[k]
+        p[k] = power(weights, q[1:k + 1], p[k - 1::-1], k)
+        u[k] = (-w[k - 1] / c - dot(u[1:k], p[k - 1:0:-1]) - p[k]) / alpha
+        s[k] += 2.0 * u[k]
+        q[k] += 2.0 * u[k]
+        p[k] += 2.0 * beta * u[k]
+        w[k] = (2.0 * k / alpha - n) * w[k - 1] / c - dot(w, s[k:0:-1])
+    return u, w
+
+
+def _batch_coefficients(params_list):
+    """The (OriginSeries, (u, w)) pair of each cell at the default orders,
+    as ``solve_profile`` takes it in ``_series_from``: one pass of each
+    recursion on numpy rows, with the bits of the list backend."""
+    rows = _Rows(len(params_list))
+    n = np.array([p.n for p in params_list], dtype=float)
+    alpha = np.array([p.alpha for p in params_list])
+    m = _MAX_ORDER // 2
+    coeffs = _slope_coefficients(n, alpha, m, rows) / (2.0 * np.arange(1.0, m + 1.0))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, w = _far_series(n, alpha, _FAR_ORDER, rows)
+    return [
+        (OriginSeries(params=params, order=_MAX_ORDER, coeffs=tuple(a)), (uc, wc))
+        for params, a, uc, wc in zip(params_list, coeffs.T.tolist(), u.T.tolist(), w.T.tolist())
+    ]
+
+
 def _polyval(x, c):
     """The power series with coefficients c, lowest order first, at x.
 
@@ -191,6 +281,26 @@ def _polyval(x, c):
         total *= x
         total += ck
     return total
+
+
+def _series_sum(c, x, cut):
+    """The power series c, lowest order first, summed at x, and where it is resolved.
+
+    Element-wise in x: ``resolved`` is where the last term is at most cut
+    times the sum.  It is False where the sum is not finite, and
+    everywhere when the last coefficient is not, so a series that
+    overflows at x or whose coefficients left float range is never used.
+    The sum is returned everywhere, so a caller fills its nodes from it.
+    A stack c of shape (order + 1, m, 1) sums m series of one order in
+    one Horner pass (see :func:`_polyval`); the sums
+    and ``resolved`` then have a row per series.
+    """
+    last = c[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _polyval(x, c)
+        return total, np.isfinite(last) & np.isfinite(total) & (
+            np.abs(last) * x ** (len(c) - 1) <= cut * np.abs(total)
+        )
 
 
 def series_eval(series: OriginSeries, t):

@@ -158,8 +158,8 @@ def check_pde_residual(
     params = profile.params
     n, alpha = params.n, params.alpha
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise ValueError(f"points must have shape (m, {n})")
+    if pts.ndim != 2 or pts.shape[1] != n or not len(pts):
+        raise ValueError(f"points must have shape (m, {n}) with m >= 1")
     radii = np.linalg.norm(pts, axis=1)
     if tolerance is None:
         tolerance = _CONTRACT * profile.tol
@@ -226,9 +226,12 @@ def _blow_down_gaps(profile: RadialProfile, scales, samples: int = 513) -> list[
 
 
 def blow_down_deviation(profile: RadialProfile, h: float, samples: int = 513) -> float:
-    """sup over t in [0,1] of the blow-down gap |h^{-p} r(h t) - L t^p|."""
-    if h <= 0.0:
-        raise ValueError("blow-down scale h must be positive")
+    """sup over t in [0,1] of the blow-down gap |h^{-p} r(h t) - L t^p|,
+    over ``samples`` points from 0 to 1 (at least 2)."""
+    if not 0.0 < h < math.inf:  # NaN fails here too
+        raise ValueError(f"blow-down scale h must be positive and finite, got {h!r}")
+    if samples < 2:
+        raise ValueError(f"blow-down needs at least 2 samples, got {samples!r}")
     return _blow_down_gaps(profile, [h], samples)[0]
 
 
@@ -339,8 +342,8 @@ def scan_gradient_bound(
         raise ValueError("gradient scan needs at least one ball")
     cs = [float(c) for c in centers]
     rs = [float(r) for r in radii]
-    if any(c < 0.0 for c in cs) or any(r <= 0.0 for r in rs):
-        raise ValueError("need center offsets >= 0 and radii > 0")
+    if not all(0.0 <= c < math.inf for c in cs) or not all(0.0 < r < math.inf for r in rs):
+        raise ValueError("need finite center offsets >= 0 and finite radii > 0")
     reach = max(c + r for c, r in zip(cs, rs))
     profile = solve_profile(params, max(reach, 1.0), tol)
     grads = profile.evaluate(cs)[1].tolist()

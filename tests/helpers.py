@@ -485,8 +485,7 @@ def write_stored_digests(path=STORED_DIGESTS):
     recursions use only + - * / on doubles, so their bits are the same on
     every machine, but the payload of a NaN is not."""
     from soliton_lab.model import ModelParams
-    from soliton_lab.profile import _far_series
-    from soliton_lab.series import series_coefficients
+    from soliton_lab.series import _far_series, series_coefficients
 
     cells = {}
     for n, alpha in GRID_CELLS + ENVELOPE_CELLS:

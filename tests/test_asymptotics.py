@@ -93,6 +93,13 @@ def test_expansions_refuse_non_finite_input(alpha, bad):
         asymptotic_z(params, bad)
 
 
+@pytest.mark.parametrize("c1", [np.nan, np.inf, -np.inf])
+def test_eval_refuses_non_finite_c1(c1):
+    """On the alpha = 1 branch a non-finite C1 came back as nan or inf."""
+    with pytest.raises(ValueError, match="finite constant C1"):
+        asymptotic_eval(ModelParams(3, 1.0), c1, 50.0)
+
+
 def test_fit_log_branch_constant(profile_of):
     fit = fit_far_field(profile_of(2, 1.0), window=(100.0, 200.0))
     assert fit.fitted_leading == 0.5

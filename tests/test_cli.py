@@ -9,6 +9,7 @@ import pytest
 import soliton_lab
 from soliton_lab import cli as cli_module
 from soliton_lab import profile as profile_module
+from soliton_lab import series as series_module
 from soliton_lab.asymptotics import fit_far_field
 from soliton_lab.cli import _build_parser, run_cli
 from soliton_lab.output import _fit_record, table_document
@@ -229,13 +230,20 @@ def test_table_is_the_document_of_per_cell_solves(profile_of, capsys, t_max, fmt
 
 
 def test_table_runs_neither_scalar_recursion(monkeypatch, capsys):
-    """Every table cell takes over its pair from the one batched pass."""
+    """Every table cell takes over its pair from the one batched pass.
+
+    The batch runs the same recursions as the scalar path, on the row
+    backend, so the list backend's sums refuse too: a recursion on Python
+    floats fails here whichever function runs it.
+    """
 
     def refuse(*args, **kwargs):
         raise AssertionError("table ran a scalar series recursion")
 
     for name in ("series_coefficients", "_far_series"):
         monkeypatch.setattr(profile_module, name, refuse)
+    for name in ("dot", "power"):
+        monkeypatch.setattr(series_module._Floats, name, staticmethod(refuse))
     assert run_cli(["table", "--tmax", "25", "--tol", "1e-8"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 21
 

@@ -43,17 +43,21 @@ from soliton_lab.profile import (
     RadialProfile,
     SolverError,
     _FAR_CUT,
-    _FAR_ORDER,
     _STIFFNESS_BUDGET,
     _T_MAX_SLACK,
-    _batch_coefficients,
     _default_spacing,
-    _far_series,
-    _series_sum,
     _stepper_rtol,
     solve_profile,
 )
-from soliton_lab.series import _polyval, series_coefficients, series_eval
+from soliton_lab.series import (
+    _FAR_ORDER,
+    _batch_coefficients,
+    _far_series,
+    _polyval,
+    _series_sum,
+    series_coefficients,
+    series_eval,
+)
 from soliton_lab.verify import check_pde_residual, sample_ball
 
 
@@ -356,8 +360,8 @@ import hashlib, json
 import numpy as np
 from soliton_lab.asymptotics import fit_far_field
 from soliton_lab.model import ModelParams
-from soliton_lab.profile import _far_series, solve_profile
-from soliton_lab.series import series_coefficients
+from soliton_lab.profile import solve_profile
+from soliton_lab.series import _far_series, series_coefficients
 digests = {}
 for n, alpha in ((2, 0.5), (3, 2.0)):
     params = ModelParams(n, alpha)
@@ -428,6 +432,99 @@ def test_outputs_do_not_depend_on_the_blas_kernel():
         assert not moved, (kernel, moved)
 
 
+# Saves every node array of the 20 grid cells at t_max 200 to the file
+# argv[1] and prints each cell's coefficient digest, launch and handoff,
+# with the CPU features numpy runs without.
+_SIMD_PROBE = """
+import hashlib, json, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from soliton_lab.model import ModelParams
+from soliton_lab.profile import solve_profile
+from soliton_lab.series import _far_series, series_coefficients
+cells, arrays = {}, {}
+for n in range(2, 7):
+    for alpha in (0.5, 1.0, 2.0, 3.0):
+        params = ModelParams(n, alpha)
+        u, w = _far_series(n, alpha)
+        coeffs = np.array([*series_coefficients(params).coeffs, *u, *w])
+        prof = solve_profile(params, 200.0, 1e-10)
+        key = f"{n},{alpha!r}"
+        cells[key] = [hashlib.sha256(coeffs.tobytes()).hexdigest(), prof.launch, prof.handoff]
+        for name in ("grid", "r", "dr", "ddr", "dddr", "phase_z"):
+            arrays[f"{key} {name}"] = getattr(prof, name)
+np.savez(sys.argv[1], **arrays)
+print(json.dumps({"cells": cells, "off": sorted(f for f, on in __cpu_features__.items() if not on)}))
+"""
+
+# (relative, absolute) bounds on the gap between the node arrays of two
+# SIMD levels.  Measured on the 20 grid cells at t_max 200: 2.2e-16
+# relative in grid, 1.2e-15 in r, 1.1e-15 in dr, 2.8e-15 in ddr, 3.3e-16
+# absolute in z, and in r''' 4.2e-13 at a value of 1.85 and 6.2e-14
+# where it is below 1.  Each bound leaves a factor of two or more.
+_SIMD_BOUNDS = {
+    "grid": (4.5e-16, 0.0),
+    "r": (2.5e-15, 0.0),
+    "dr": (2.5e-15, 0.0),
+    "ddr": (6e-15, 0.0),
+    "dddr": (1e-12, 1e-12),
+    "phase_z": (0.0, 7e-16),
+}
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 SIMD levels"
+)
+def test_nodes_agree_across_simd_levels(tmp_path):
+    """The series coefficients, launch and handoff are the same at every
+    SIMD level numpy dispatches to, and the node arrays agree within
+    ``_SIMD_BOUNDS``.
+
+    Child processes run with NPY_DISABLE_CPU_FEATURES unset, then with
+    the AVX-512 levels turned off (which alone changes the bits of
+    ``np.exp``), then with AVX2 (X86_V3) turned off as well.  A level
+    turns off only the features the CPU has, and is skipped when that
+    leaves nothing to turn off or repeats the level before it.
+    """
+    src = str(Path(soliton_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    levels = [()]
+    for features in (
+        ("X86_V4", "AVX512_ICL", "AVX512_SPR"),
+        ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"),
+    ):
+        features = tuple(f for f in features if _cpu_has(f))
+        if features and features != levels[-1]:
+            levels.append(features)
+    if len(levels) == 1:
+        pytest.skip("the CPU has none of the SIMD levels to turn off")
+    runs = []
+    for i, features in enumerate(levels):
+        target = tmp_path / f"level{i}.npz"
+        proc = subprocess.run(
+            [sys.executable, "-c", _SIMD_PROBE, str(target)],
+            capture_output=True,
+            text=True,
+            env={**env, "NPY_DISABLE_CPU_FEATURES": " ".join(features)} if features else env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "", proc.stderr
+        result = json.loads(proc.stdout)
+        assert set(features) <= set(result["off"]), (features, result["off"])
+        with np.load(target) as saved:
+            runs.append((result["cells"], {name: saved[name] for name in saved.files}))
+    cells, arrays = runs[0]
+    for features, (level_cells, level_arrays) in zip(levels[1:], runs[1:]):
+        assert level_cells == cells, features
+        for name, a in arrays.items():
+            rel, floor = _SIMD_BOUNDS[name.split()[1]]
+            gap = np.abs(level_arrays[name] - a)
+            assert np.all(gap <= rel * np.abs(a) + floor), (features, name, float(gap.max()))
+
+
 def test_polyval_bitwise_equals_numpy():
     """``_polyval`` is numpy's polyval bit for bit, on arrays and on scalars."""
     from numpy.polynomial.polynomial import polyval
@@ -444,9 +541,9 @@ def test_polyval_bitwise_equals_numpy():
 def test_solve_sums_each_series_once_per_node(monkeypatch):
     """One solve sums no series twice at one node.
 
-    Every Horner pass is recorded, through the solver's ``_polyval`` and
-    through the one ``series_eval`` uses, with its points and, for a
-    stack of series, each row's coefficients.  The six series (r and r'
+    Every Horner pass is recorded, through ``series._polyval``, which
+    both the solver's ``_series_sum`` and ``series_eval`` call, with its
+    points and, for a stack of series, each row's coefficients.  The six series (r and r'
     at the axis; U, W, the integral of the slope and F in the far field)
     must each be summed, and no (coefficients, point) pair twice.
     """
@@ -459,7 +556,6 @@ def test_solve_sums_each_series_once_per_node(monkeypatch):
         passes.extend((np.ascontiguousarray(row).tobytes(), points) for row in rows)
         return _polyval(x, c)
 
-    monkeypatch.setattr(profile_module, "_polyval", recording)
     monkeypatch.setattr(series_module, "_polyval", recording)
     solve_profile(ModelParams(3, 2.0), 200.0, 1e-10)
     assert len({c for c, _ in passes}) == 6

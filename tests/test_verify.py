@@ -150,6 +150,8 @@ def test_pde_residual_input_checks(profile_of):
         check_pde_residual(prof, np.zeros((4, 3)))
     with pytest.raises(ValueError):
         check_pde_residual(prof, np.array([[250.0, 0.0]]))
+    with pytest.raises(ValueError, match="m >= 1"):
+        check_pde_residual(prof, np.zeros((0, 2)))
 
 
 def test_convexity(profile_of):
@@ -168,6 +170,19 @@ def test_blow_down_deviation_decreases(profile_of):
         blow_down_deviation(prof, 0.0)
     with pytest.raises(ValueError):
         blow_down_deviation(prof, 300.0)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_blow_down_deviation_refuses_non_finite_scale_and_no_samples(profile_of, h):
+    """A NaN scale passed the h <= 0 check, an infinite one warned at tau =
+    0, and no samples failed in numpy's reduction; all are refused by name."""
+    prof = profile_of(2, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        blow_down_deviation(prof, h)
+    for samples in (0, 1):
+        with pytest.raises(ValueError, match="samples"):
+            blow_down_deviation(prof, 100.0, samples=samples)
+    assert blow_down_deviation(prof, 100.0, samples=2) >= 0.0
 
 
 def test_range_gate_edge(profile_of):
@@ -262,6 +277,17 @@ def test_scan_gradient_bound_validation():
         scan_gradient_bound(params, [1.0], [-0.5])
     with pytest.raises(ValueError):
         scan_gradient_bound(params, [-1.0], [0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_scan_gradient_bound_refuses_non_finite_balls(bad):
+    """A NaN centre or radius passed the sign checks, and the scan failed
+    later inside ``evaluate``; each is refused before any solve."""
+    params = ModelParams(2, 1.0)
+    with pytest.raises(ValueError, match="finite center offsets"):
+        scan_gradient_bound(params, [1.0, bad], [0.5, 0.5])
+    with pytest.raises(ValueError, match="finite center offsets"):
+        scan_gradient_bound(params, [1.0, 2.0], [0.5, bad])
 
 
 def test_run_battery_solves_once(profile_of, monkeypatch):
