@@ -496,8 +496,8 @@ def write_stored_digests(path=STORED_DIGESTS):
     doc = {
         "about": (
             "sha256 of the little-endian float64 coefficients of each cell 'n,alpha': "
-            "'origin' of series_coefficients(params).coeffs (degree 80), 'far' of the "
-            "lists u then w of profile._far_series(n, alpha) (order 32); regenerate with: "
+            "'origin' of series.series_coefficients(params).coeffs (degree 80), 'far' of the "
+            "lists u then w of series._far_series(n, alpha) (order 32); regenerate with: "
             "PYTHONPATH=src python tests/helpers.py"
         ),
         "cells": cells,

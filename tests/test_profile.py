@@ -58,7 +58,7 @@ from soliton_lab.series import (
     series_coefficients,
     series_eval,
 )
-from soliton_lab.verify import check_pde_residual, sample_ball
+from soliton_lab.verify import _ball_points, check_pde_residual
 
 
 def _last_term_negligible(c, x, tol=1e-10):
@@ -806,11 +806,43 @@ def test_tiny_alpha_radius_follows_the_leading_term(n, alpha, t_max):
     assert prof.r[-1] == pytest.approx(leading, rel=1e-12)
 
 
+class _StepBudgetSpent(Exception):
+    """Raised by a wrapped stepper once a solve has taken its step budget."""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=_StepBudgetSpent,
+    reason="y' = -z (1 + y^2)^((3 - alpha)/2) stiffens within one node interval "
+    "at alpha 0.05, and the stability-cap test runs only at nodes: the stepper "
+    "sits at t = 2.05 with h = 8.4e-11 after 600,000 steps",
+)
+def test_tiny_alpha_solve_ends_within_a_step_budget(monkeypatch):
+    """Below the surveyed alphas a solve returns or raises ``SolverError``
+    within 100,000 DOP853 steps (under a second).  (2, 0.07) takes 39,692
+    steps and (2, 0.1) 419; (2, 0.05) ran for 221 s."""
+    steps = 0
+    rk_step = profile_module._CarriedSlopeStepper._rk_step
+
+    def budgeted(self, *args):
+        nonlocal steps
+        steps += 1
+        if steps > 100_000:
+            raise _StepBudgetSpent
+        return rk_step(self, *args)
+
+    monkeypatch.setattr(profile_module._CarriedSlopeStepper, "_rk_step", budgeted)
+    try:
+        solve_profile(ModelParams(2, 0.05), 200.0)
+    except SolverError:
+        pass
+
+
 @pytest.mark.parametrize("n, alpha", [(10, 0.15), (7, 0.2)])
 def test_pde_residual_below_alpha_one(n, alpha):
     """The battery's PDE residual check, with its points, within 100 tol."""
     prof = solve_profile(ModelParams(n, alpha), 200.0, 1e-10)
-    points = sample_ball(np.random.default_rng(0), 1000, n, prof.t_max / 2.0)
+    points = _ball_points(1000, n, prof.t_max / 2.0)
     report = check_pde_residual(prof, points)
     assert report.metric <= 100.0 * prof.tol, report
 

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,77 @@ def test_sample_ball_properties():
     assert np.linalg.norm(pts, axis=1).max() <= 3.0
     again = sample_ball(np.random.default_rng(7), 500, 4, 3.0)
     np.testing.assert_array_equal(pts, again)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_battery_points_fill_the_ball_evenly(n):
+    """The battery's points are the same bits on every call, lie in the
+    closed ball and are uniform in volume: the share within R q^(1/n) is q
+    to within 0.015, where a uniform random sample's standard deviation
+    at q = 1/2 is 0.016.  Start offset 1 drops the first point and adds one
+    at the end."""
+    radius = 100.0
+    pts = verify_module._ball_points(1000, n, radius)
+    assert pts.shape == (1000, n)
+    assert pts.tobytes() == verify_module._ball_points(1000, n, radius).tobytes()
+    radii = np.linalg.norm(pts, axis=1)
+    assert radii.max() <= radius
+    for q in (0.25, 0.5, 0.75):
+        assert abs(np.mean(radii <= radius * q ** (1.0 / n)) - q) <= 0.015, q
+    later = verify_module._ball_points(1000, n, radius, 1)
+    assert not np.array_equal(later, pts)
+    np.testing.assert_allclose(later[:-1], pts[1:], rtol=1e-14, atol=1e-12)
+
+
+@pytest.mark.parametrize("offset", [-1, 2 ** 32])
+def test_battery_points_refuse_an_offset_out_of_range(offset):
+    with pytest.raises(ValueError, match="point offset"):
+        verify_module._ball_points(10, 3, 1.0, offset)
+
+
+def test_run_battery_draws_no_random_numbers(profile_of, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_battery called numpy.random.default_rng")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    reports = run_battery(profile_of(2, 1.0))
+    assert reports[2].name == "pde-residual" and reports[2].passed
+
+
+_VERIFY_ENTRIES = {
+    "cli": "from soliton_lab.cli import run_cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert run_cli(['verify', '--n', '3', '--alpha', '2', '--format', 'json']) == 0\n",
+    "run_battery": "from soliton_lab import ModelParams, run_battery, solve_profile\n"
+    "run_battery(solve_profile(ModelParams(3, 2.0), 200.0))\n",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_VERIFY_ENTRIES))
+def test_verify_loads_no_numpy_random(entry):
+    """The battery's points come from numpy arithmetic alone: in a fresh
+    interpreter, neither ``verify`` nor ``run_battery`` imports
+    ``numpy.random``, which adds about 6 MB to a fresh process's peak RSS."""
+    src = str(Path(verify_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    print('numpy'); sys.exit()\n"
+        + _VERIFY_ENTRIES[entry]
+        + "print('numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "numpy":
+        pytest.skip("a bare `import numpy` already loads numpy.random (older numpy)")
+    assert proc.stdout.strip() == "False"
 
 
 def test_pde_residual_random_ball(profile_of):
