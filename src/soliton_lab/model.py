@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -88,39 +89,50 @@ def g_eval(y, params: ModelParams):
 
     Odd and strictly increasing in ``y``, and nondecreasing in float64 as
     well (see :func:`_slope_map`); the identity map when ``alpha == 1``.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays.  Each value is the one Python's scalar
+    formula gives, bit for bit, whatever numpy's SIMD level.
     """
     a = params.alpha
     y = np.asarray(y, dtype=float)
     if is_log_branch(a):
         out = y.copy()
     else:
-        out = np.array(_slope_map(a, y.ravel().tolist()), dtype=float).reshape(y.shape)
+        out = _slope_map(a, y.ravel()).reshape(y.shape)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _slope_map(alpha: float, ys: list[float]) -> list[float]:
-    """The slope map g at each Python float of ys; the one definition every
-    caller uses, a scalar caller with a one-element list.
+def _pow(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p at each element through libm pow, the call Python's scalar
+    ``**`` makes; numpy's array power rounds differently by SIMD target."""
+    return np.fromiter(map(math.pow, x.tolist(), repeat(p)), float, x.size)
+
+
+def _slope_map(alpha: float, y: np.ndarray) -> np.ndarray:
+    """The slope map g at each element of the 1-D float array y; the one
+    definition every caller uses, a scalar caller with a one-element array.
 
     For alpha < 1 the factor (1 + y^2)^((alpha-1)/2) decreases, so the
     product y (1 + y^2)^((alpha-1)/2) can round out of order for large y.
     There g is written as |y|^alpha (1 + y^-2)^((alpha-1)/2), whose factors
     are both nondecreasing in |y|, so correctly rounded pow keeps the
     product in order.  The sign is attached last, which keeps g exactly odd.
-    Each element is Python's scalar pow: numpy's array pow rounds
-    differently by SIMD target, and g here must not.
+    Each power is :func:`_pow`, and the sums, products, abs and copysign
+    round as Python floats do, so every value is the scalar formula's.  A
+    y^2 past float range is inf, as Python's product is, without a warning.
     """
     e = (alpha - 1.0) / 2.0
-    if alpha < 1.0:
-        return [
-            math.copysign(abs(y) ** alpha * (1.0 + 1.0 / (y * y)) ** e, y)
-            if abs(y) > 1.0 else y * (1.0 + y * y) ** e
-            for y in ys
-        ]
-    return [y * (1.0 + y * y) ** e for y in ys]
+    with np.errstate(over="ignore"):
+        if alpha >= 1.0:
+            return y * _pow(1.0 + y * y, e)
+        big = np.abs(y) > 1.0
+        small, large = y[~big], y[big]
+        out = np.empty_like(y)
+        out[~big] = small * _pow(1.0 + small * small, e)
+        scaled = _pow(np.abs(large), alpha) * _pow(1.0 + 1.0 / (large * large), e)
+        out[big] = np.copysign(scaled, large)
+    return out
 
 
 def _slope_map_deriv(alpha: float, y):
@@ -157,7 +169,7 @@ def _invert_slope(alpha: float, v: float) -> float:
 
     lo, hi = 0.0, math.inf
     for _ in range(120):
-        f = _slope_map(alpha, [y])[0] - v
+        f = float(_slope_map(alpha, np.array([y]))[0]) - v
         if f == 0.0:
             return y
         if f < 0.0:

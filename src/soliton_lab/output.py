@@ -3,12 +3,13 @@
 Every document is built in the one format asked for, and goes through
 one of two emitters: a JSON document or a CSV header and rows of cells.
 JSON is the document at indent 2 with its keys in insertion order and
-floats in shortest round-trip form.  CSV is the header and the rows
-through one cell rule: None is empty, a bool is true/false, an int or
-str stands as is and a float takes 17 significant digits.  Both are
-UTF-8 and newline-terminated, and the same inputs always give the same
-bytes.  The check-report emitter has a matching parser and the pair
-round-trips exactly.
+floats in shortest round-trip form; a non-finite float, which RFC 8259
+has no number for, is the string its CSV cell holds ("inf", "-inf",
+"nan").  CSV is the header and the rows through one cell rule: None is
+empty, a bool is true/false, an int or str stands as is and a float
+takes 17 significant digits.  Both are UTF-8 and newline-terminated, and
+the same inputs always give the same bytes.  The check-report emitter
+has a matching parser and the pair round-trips exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 from .asymptotics import FarFieldFit, expected_coefficients
 from .model import ModelParams
@@ -54,8 +56,27 @@ def _check_format(format: str) -> str:
     return format
 
 
+def _finite(value):
+    """value with each non-finite float in it as the text of its CSV cell."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else _f(value)
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def _json(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_finite(doc), indent=2, allow_nan=False) + "\n"
+
+
+def _float(value):
+    """A number of a JSON document as a float; "inf", "-inf" and "nan"
+    stand for the non-finite ones."""
+    if isinstance(value, list):
+        return [_float(item) for item in value]
+    return float(value) if isinstance(value, str) else value
 
 
 def _csv(header, rows) -> str:
@@ -129,7 +150,10 @@ def parse_report(text: str, format: str = "csv") -> dict:
             )
             for c in doc.get("checks", [])
         ]
-        return {"params": doc.get("params"), "checks": checks, "fit": doc.get("fit")}
+        fit = doc.get("fit")
+        if fit is not None:
+            fit = {key: _float(value) for key, value in fit.items()}
+        return {"params": doc.get("params"), "checks": checks, "fit": fit}
     head, _, tail = text.partition("\n\n")
     rows = list(csv.reader(io.StringIO(head)))
     checks = [

@@ -432,9 +432,7 @@ def _second_and_third(alpha: float, t, y, z, big_f):
 class _FormedOnRead:
     """A derived array of :class:`RadialProfile`, held in the instance
     dict under its own name.  Reading or writing it on a solved profile
-    whose derived arrays are not formed yet forms all four first; a
-    profile that holds none of it (``_origin_g`` outside a solve) reads
-    None."""
+    whose derived arrays are not formed yet forms all three first."""
 
     def __init__(self, name):
         self.name = name
@@ -445,7 +443,7 @@ class _FormedOnRead:
         slots = vars(profile)
         if "_unformed" in slots:
             profile._form_derived()
-        return slots.get(self.name)
+        return slots[self.name]
 
     def __set__(self, profile, value):
         if "_unformed" in vars(profile):
@@ -456,7 +454,7 @@ class _FormedOnRead:
 def _formed_on_read(cls):
     """Put a :class:`_FormedOnRead` over each derived field of cls; the
     dataclass fields keep their defaults, ``init`` and ``repr``."""
-    for name in ("phase_z", "ddr", "dddr", "_origin_g"):
+    for name in ("phase_z", "ddr", "dddr"):
         setattr(cls, name, _FormedOnRead(name))
     return cls
 
@@ -470,13 +468,12 @@ class RadialProfile:
     uniform in log t from its first lattice node ``grid[1]`` outward.
     Arrays are owned by the profile and must not be mutated.
 
-    A profile from :func:`solve_profile` forms ``ddr``, ``dddr``,
-    ``phase_z`` and ``_origin_g`` together, once, on the first read (or
-    write) of any of them, so a caller of ``grid``, ``r`` and ``dr`` alone,
-    such as :func:`~soliton_lab.asymptotics.fit_far_field`, never pays for
-    them; the formulas are the solve's, and so are the bits.  A profile
-    built by hand or by ``dataclasses.replace`` holds the arrays it is
-    given.
+    A profile from :func:`solve_profile` forms ``ddr``, ``dddr`` and
+    ``phase_z`` together, once, on the first read (or write) of any of
+    them, so a caller of ``grid``, ``r`` and ``dr`` alone, such as
+    :func:`~soliton_lab.asymptotics.fit_far_field`, never pays for them;
+    the formulas are the solve's, and so are the bits.  A profile built by
+    hand or by ``dataclasses.replace`` holds the arrays it is given.
 
     ``launch`` and ``handoff`` record where the solver's regimes meet, as
     indices into ``grid``.  The origin series fills ``grid[:launch + 1]``
@@ -501,25 +498,18 @@ class RadialProfile:
     # The far-field series (u, w) of _far_series, kept so that a second
     # solve of the same params can take it over with ``series``.
     _far: tuple = field(default=None, repr=False)
-    # g(dr) at the origin-series nodes grid[1:launch + 1], formed for z
-    # there; check_bounds reads it in place of evaluating g again.  Formed
-    # for a solved profile alone, so a profile built by hand or by
-    # dataclasses.replace holds None and never an array of other nodes.
-    _origin_g: np.ndarray = field(default=None, init=False, repr=False)
 
     def _form_derived(self):
-        """Form ``phase_z``, ``ddr``, ``dddr`` and ``_origin_g`` from the
-        node arrays (z, F) that :func:`solve_profile` left in
-        ``_unformed``, z filled past the launch node and F past the
-        handoff: z at the origin-series nodes from g(dr) there, F up to
-        the handoff from the defect, then r'' and r''' (see
-        :func:`_second_and_third`)."""
+        """Form ``phase_z``, ``ddr`` and ``dddr`` from the node arrays
+        (z, F) that :func:`solve_profile` left in ``_unformed``, z filled
+        past the launch node and F past the handoff: z at the origin-series
+        nodes from g(dr) there, F up to the handoff from the defect, then
+        r'' and r''' (see :func:`_second_and_third`)."""
         z, big_f = vars(self).pop("_unformed")
         params, near, tail = self.params, self.launch, self.handoff
         n, alpha = params.n, params.alpha
         t, y = self.grid[1:], self.dr[1:]
-        origin_g = g_eval(y[:near], params)
-        z[:near] = (n - 1.0) * origin_g / t[:near] - 1.0
+        z[:near] = (n - 1.0) * g_eval(y[:near], params) / t[:near] - 1.0
         c = alpha * float(n - 1)
         y_in = y[:tail]
         big_f[:tail] = 1.0 + (n + c * y_in * y_in) * z[:tail]
@@ -528,7 +518,6 @@ class RadialProfile:
             phase_z=z,
             ddr=np.concatenate(([2.0 * self.series.coeffs[0]], ddr)),
             dddr=dddr,
-            _origin_g=origin_g,
         )
 
     @property
@@ -747,6 +736,13 @@ def solve_profile(
         raise SolverError(
             f"predicted slope t^(1/alpha) overflows float64 at t_max = {t_max:g} "
             f"for alpha = {alpha:g}; lower t_max"
+        )
+    # r'' and r''' carry (1 + y^2)^((3 - alpha)/2), which for small alpha
+    # leaves float range before y does; y from its leading term.
+    if (3.0 - alpha) * math.log(t_max / (n - 1.0)) / alpha > _LOG_SLOPE_MAX:
+        raise SolverError(
+            f"predicted (1 + r'^2)^((3 - alpha)/2) in r'' overflows float64 at "
+            f"t_max = {t_max:g} for (n, alpha) = ({n}, {alpha:g}); lower t_max"
         )
 
     given_series, given_far = _series_from or (None, None)

@@ -84,19 +84,13 @@ def check_bounds(profile: RadialProfile, margin_rate: float | None = None) -> Ch
     max(t/n - g(r'), g(r') - t/(n-1), -r''), normalized by (1 + t); the
     tolerance is -margin_rate, so passing means every strict inequality
     holds with margin margin_rate*(1+t).  Default margin_rate is 10*tol.
-    At the origin-series nodes g(r') is the one a solved profile formed
-    for z there, together with r'', r''' and z, on the first read of any
-    of them (here, of ``_origin_g``); g is evaluated at every other node,
-    and at every node of a profile that holds none.
+    g is evaluated at every node from the profile's ``dr``, the same way
+    for a solved profile and for one built by hand.
     """
     if margin_rate is None:
         margin_rate = 10.0 * profile.tol
     t = profile.grid[1:]
-    origin_g = profile._origin_g
-    if origin_g is None:
-        gy = g_eval(profile.dr[1:], profile.params)
-    else:
-        gy = np.concatenate((origin_g, g_eval(profile.dr[profile.launch + 1:], profile.params)))
+    gy = g_eval(profile.dr[1:], profile.params)
     n = profile.params.n
     lower = t / n - gy
     upper = gy - t / (n - 1.0)

@@ -9,7 +9,8 @@ cells the tests check in full are stored as test data; run this file
 the digests of ``STORED_DIGESTS``.  The
 DOP853 oracle is the loop form of one step, driven by scipy's tables, the
 controller oracle its accept/reject loop written with min and max, the
-origin-series oracle the loop form of ``series_eval``, and the
+slope-map oracle g one Python float at a time, the origin-series oracle
+the loop form of ``series_eval``, and the
 interpolation oracle ``RadialProfile.evaluate`` with one Hermite basis per
 channel.
 """
@@ -343,6 +344,25 @@ def dop853_loop_step(stepper, t, r, z, y, f, h):
     else:
         error_norm = abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
     return (r_new, z_new, y_new), f_new, error_norm
+
+
+def slope_map_oracle(alpha, ys):
+    """The slope map g at each Python float of ys, one scalar formula per
+    element; the reference for ``model._slope_map``.
+
+    Python's float ``**`` is libm pow, and every other operation is one
+    IEEE-rounded float operation, so the array form must give the same
+    bits.  The alpha < 1 split at |y| > 1 is the model's.  Raises
+    OverflowError where a pow overflows.
+    """
+    e = (alpha - 1.0) / 2.0
+    if alpha < 1.0:
+        return [
+            math.copysign(abs(y) ** alpha * (1.0 + 1.0 / (y * y)) ** e, y)
+            if abs(y) > 1.0 else y * (1.0 + y * y) ** e
+            for y in ys
+        ]
+    return [y * (1.0 + y * y) ** e for y in ys]
 
 
 def series_eval_loop(series, t):

@@ -15,7 +15,7 @@ import pytest
 from helpers import ENVELOPE_CELLS
 from soliton_lab.model import ModelParams
 from soliton_lab.profile import SolverError, solve_profile
-from soliton_lab.verify import run_battery
+from soliton_lab.verify import _ball_points, check_pde_residual, run_battery
 
 _T_MAX, _TOL = 200.0, 1e-10
 
@@ -109,3 +109,26 @@ def test_envelope_cell(n, alpha, gaps):
     if failing != gaps:
         pytest.fail(f"failing checks changed from {sorted(gaps)} to {sorted(failing)}")
     assert not failing, f"known gap: {sorted(failing)}"
+
+
+# The cells whose phase residual raises before any check of the battery
+# runs, with the PDE-residual check called on their profiles directly, at
+# the battery's points.  Two miss its gate of 100 tol = 1e-8; (3, 0.2) and
+# (7, 0.15) pass at 0.93 of it.
+_PDE_RESIDUAL_GAPS = {(3, 0.15): "7.15e-6, 715 times", (5, 0.15): "1.04e-7, 10.4 times"}
+
+
+def _phase_cells():
+    for cell in sorted(cell for cell, gaps in _GAPS.items() if gaps == "phase"):
+        marks = ()
+        if cell in _PDE_RESIDUAL_GAPS:
+            reason = f"pde-residual reads {_PDE_RESIDUAL_GAPS[cell]} the gate"
+            marks = pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+        yield pytest.param(*cell, marks=marks, id=f"{cell[0]}-{cell[1]:g}")
+
+
+@pytest.mark.parametrize("n, alpha", _phase_cells())
+def test_pde_residual_of_a_phase_gap_cell(n, alpha):
+    profile = solve_profile(ModelParams(n, alpha), _T_MAX, _TOL)
+    rep = check_pde_residual(profile, _ball_points(1000, n, _T_MAX / 2.0))
+    assert rep.passed, f"pde-residual {rep.metric:.3e} above {rep.tolerance:g}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import slope_map_oracle
 from soliton_lab import model as model_module
 from soliton_lab.asymptotics import expected_coefficients
 from soliton_lab.model import (
@@ -118,6 +119,42 @@ def test_g_invert_input_checks():
         g_invert(1e30, ModelParams(2, 0.05))
 
 
+def _oracle_slopes():
+    """Both signs of zero, subnormals, the smallest normal, 1 and 1 +- 1 ulp,
+    and 2,000 log-uniform values from 1e-320 to 1e200, of both signs."""
+    tiny = 2.2250738585072014e-308
+    ys = [0.0, 5e-324, 1e-310, math.nextafter(tiny, 0.0), tiny]
+    ys += [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 1e154, 1.4e154, 1e200]
+    rng = np.random.default_rng(30)
+    ys += (10.0 ** rng.uniform(-320.0, 200.0, 2000)).tolist()
+    return ys + [-y for y in ys]
+
+
+@pytest.mark.parametrize("alpha", [0.15, 0.5, 0.999, 2.0, 3.0, 10.0])
+def test_g_matches_the_scalar_oracle_bit_for_bit(alpha):
+    """g_eval is the scalar formula's float, bit for bit, on arrays and on
+    scalars, and raises OverflowError exactly where the scalar formula does
+    (alpha 10: the pow of 1 + y^2 past about 1e68).  A y^2 past float range
+    is inf without a warning (pytest turns one into an error)."""
+    p = ModelParams(2, alpha)
+    slopes, finite = _oracle_slopes(), []
+    for y in slopes:
+        try:
+            (expected,) = slope_map_oracle(alpha, [y])
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                g_eval(y, p)
+            continue
+        assert g_eval(y, p).hex() == expected.hex(), y
+        finite.append(y)
+    assert (len(finite) < len(slopes)) == (alpha == 10.0)
+    got = g_eval(np.array(finite), p).tolist()
+    assert [g.hex() for g in got] == [g.hex() for g in slope_map_oracle(alpha, finite)]
+    if alpha == 10.0:
+        with pytest.raises(OverflowError):
+            g_eval(np.array(slopes), p)
+
+
 def test_invert_slope_keeps_converged_iterate(monkeypatch):
     """Newton stops once its step is spent, within 7 evaluations of g.
 
@@ -130,7 +167,8 @@ def test_invert_slope_keeps_converged_iterate(monkeypatch):
     cases = [(2.0, 1.4324744307757438)]
     for _ in range(2000):
         alpha = float(rng.uniform(0.3, 4.0))
-        cases.append((alpha, _slope_map(alpha, [float(10.0 ** rng.uniform(-2.0, 5.0))])[0]))
+        y = np.array([10.0 ** rng.uniform(-2.0, 5.0)])
+        cases.append((alpha, float(_slope_map(alpha, y)[0])))
     calls = []
 
     def counting(alpha, ys):

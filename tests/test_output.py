@@ -87,6 +87,38 @@ def test_report_round_trip_no_c1(fmt):
     assert doc["fit"]["expected_second"] == pytest.approx(-1.0606601717798212)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_floats_are_strict_json_and_round_trip(fmt):
+    """RFC 8259 has no number for inf or nan: JSON documents write them as
+    the text of their CSV cells, and ``parse_report`` reads them back as
+    floats in the checks and in the fit."""
+    reports = [
+        CheckReport("growth", False, math.inf, 0.02, ""),
+        CheckReport("low", True, -math.inf, 1.0, ""),
+        CheckReport("odd", False, math.nan, 1.0, ""),
+    ]
+    fit = FarFieldFit(ModelParams(2, 0.5), (100.0, math.inf), math.nan, 1.0, None, math.inf)
+    text = emit_report(reports, fit, format=fmt)
+    doc = parse_report(text, format=fmt)
+    assert doc["checks"][:2] == reports[:2]
+    assert math.isnan(doc["checks"][2].metric)
+    assert math.isnan(doc["fit"]["fitted_leading"])
+    assert doc["fit"]["residual_norm"] == math.inf and doc["fit"]["fitted_C1"] is None
+    if fmt == "csv":
+        return
+    assert doc["fit"]["window"] == [100.0, math.inf]
+    raw = json.loads(text, parse_constant=_refuse_constant)
+    assert [c["metric"] for c in raw["checks"]] == ["inf", "-inf", "nan"]
+    assert raw["fit"]["window"] == [100.0, "inf"]
+    scan = GradientScanReport(ModelParams(2, 1.0), [ScanSample(1.0, 0.5, math.nan, 0.6, 0.0)], math.inf)
+    raw = json.loads(scan_document(scan, format="json"), parse_constant=_refuse_constant)
+    assert raw["samples"][0]["M"] == "nan" and raw["sup_ratio"] == "inf"
+
+
 def test_report_no_fit_needs_params():
     with pytest.raises(ValueError):
         emit_report(REPORTS, None)

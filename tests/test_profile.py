@@ -110,8 +110,21 @@ def test_nodes_stop_changing_at_the_rtol_floor(n, alpha, tol_a, tol_b):
 
 def test_overflow_guard():
     # slope ~ t^(1/alpha) leaves float range long before t_max for tiny alpha
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="predicted slope"):
         solve_profile(ModelParams(2, 0.01), 1e4, 1e-10)
+    # (1 + y^2)^((3 - alpha)/2) in r'' leaves it first: these slopes fit,
+    # log(t_max)/alpha is 368 and 442, but the power's log is 834 and 772
+    for n, alpha, t_max in ((10, 0.025, 1e4), (10, 0.012, 200.0)):
+        with pytest.raises(SolverError, match=r"in r'' overflows float64"):
+            solve_profile(ModelParams(n, alpha), t_max, 1e-10)
+
+
+def test_overflow_guard_admits_a_cell_just_inside():
+    """(10, 0.015) at t_max 300, where the log of (1 + y^2)^((3 - alpha)/2)
+    at t_max is 697.8, solves with finite r'' and r''' and no warning
+    (pytest turns a RuntimeWarning into an error)."""
+    prof = solve_profile(ModelParams(10, 0.015), 300.0, 1e-10)
+    assert np.isfinite(prof.ddr).all() and np.isfinite(prof.dddr).all()
 
 
 def _stepped_reference(params, t, r0, z0):
@@ -1257,17 +1270,16 @@ def test_radius_is_evaluates_r_bitwise(profile_of, n, alpha):
         assert value.hex() == expected.hex() == prof.evaluate(ti)[0].hex(), ti
 
 
-_DERIVED = ("phase_z", "ddr", "dddr", "_origin_g")
+_DERIVED = ("phase_z", "ddr", "dddr")
 
 
 @pytest.mark.parametrize("first", _DERIVED)
 def test_solve_forms_derived_arrays_on_first_read(monkeypatch, profile_of, first):
     """A solve and a far-field fit of it evaluate g at the launch node alone
-    and form no r'' or r'''.  The first read of any of ``phase_z``,
-    ``ddr``, ``dddr`` and ``_origin_g`` forms all four, once, with the bits
-    whichever is read first; ``_origin_g`` is g(dr) at the origin-series
-    nodes.  A ``dataclasses.replace`` copy keeps the arrays and holds no
-    ``_origin_g``."""
+    and form no r'' or r'''.  The first read of any of ``phase_z``, ``ddr``
+    and ``dddr`` forms all three, once, with the bits whichever is read
+    first, and evaluates g at the origin-series nodes for z there.  A
+    ``dataclasses.replace`` copy keeps the arrays."""
     reference = {name: getattr(profile_of(3, 2.0), name) for name in _DERIVED}
     g_sizes, formed = [], []
     g_eval_of, second_and_third = profile_module.g_eval, profile_module._second_and_third
@@ -1291,14 +1303,9 @@ def test_solve_forms_derived_arrays_on_first_read(monkeypatch, profile_of, first
         assert getattr(prof, name) is value, name
         assert value.tobytes() == reference[name].tobytes(), name
     assert len(formed) == 1
-    origin = g_eval(prof.dr[1:prof.launch + 1], prof.params)
-    assert len(origin) == prof.launch
-    assert prof._origin_g.tobytes() == origin.tobytes()
     copy = dataclasses.replace(prof)
-    assert copy._origin_g is None
-    for name in _DERIVED[:3]:
+    for name in _DERIVED:
         assert getattr(copy, name) is held[name], name
-    assert dataclasses.replace(prof, dr=2.0 * prof.dr)._origin_g is None
 
 
 def test_a_write_before_the_first_read_is_kept():

@@ -56,9 +56,9 @@ _GRID = [(n, a) for n in range(2, 7) for a in (0.5, 1.0, 2.0, 3.0)]
 
 @pytest.mark.parametrize("n, alpha", _GRID)
 def test_bounds_report_is_the_same_with_the_stored_slope_map(profile_of, monkeypatch, n, alpha):
-    """``check_bounds`` reads g at the origin-series nodes from the solve and
-    evaluates it past them alone, with the report of a profile that holds
-    no stored map, which evaluates g at every node."""
+    """A solved profile stores no slope map: ``check_bounds`` evaluates g
+    once, at every node of ``dr``, and reports what it reports for a
+    ``dataclasses.replace`` copy, which it reads the same way."""
     prof = profile_of(n, alpha)
     nodes = []
 
@@ -67,15 +67,13 @@ def test_bounds_report_is_the_same_with_the_stored_slope_map(profile_of, monkeyp
         return g_eval(y, params)
 
     monkeypatch.setattr(verify_module, "g_eval", counting)
-    stored = check_bounds(prof)
-    without = check_bounds(dataclasses.replace(prof))
-    assert stored == without
-    assert nodes == [len(prof.grid) - 1 - prof.launch, len(prof.grid) - 1]
+    assert check_bounds(prof) == check_bounds(dataclasses.replace(prof))
+    assert nodes == [len(prof.grid) - 1, len(prof.grid) - 1]
 
 
 def test_bounds_of_a_replaced_slope_recompute_g(profile_of, monkeypatch):
-    """A profile with another slope never reads the solve's stored g: its
-    steepened origin-series nodes break the upper bound there."""
+    """A profile with another slope has g evaluated from its own ``dr``:
+    its steepened origin-series nodes break the upper bound there."""
     prof = profile_of(3, 2.0)
     dr = prof.dr.copy()
     dr[1:prof.launch + 1] *= 2.0
