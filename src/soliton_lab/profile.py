@@ -529,9 +529,11 @@ class RadialProfile:
 
         At t = 0 the values are node 0, which is the origin series there
         bit for bit; elsewhere below ``grid[1]`` the series is evaluated
-        directly, and past it piecewise quintic Hermite interpolation
-        (cubic for ddr) built from the stored derivative data is used.
-        Accepts scalars or arrays.  :meth:`_radius` gives r alone.
+        directly, and past it piecewise quintic Hermite interpolation built
+        from the stored derivative data is used: one quintic for r, and one
+        for dr whose t-derivative is ddr.  At the nodes ddr is the stored
+        ``ddr`` bit for bit.  Accepts scalars or arrays.  :meth:`_radius`
+        gives r alone.
         """
         return self._interpolate(t, radius_only=False)
 
@@ -581,9 +583,11 @@ class RadialProfile:
         nodes around each.
 
         r and dr are quintic Hermite interpolants, matching the value and
-        first two derivatives at both nodes; ddr is the cubic one, matching
-        ddr and dddr.  The bracket and the six quintic basis values on
-        [0, 1] are formed once for every channel asked for.
+        first two derivatives at both nodes, and ddr is the t-derivative
+        of the dr quintic.  The bracket, the six quintic basis values on
+        [0, 1] and, for ddr, their six tau-derivatives are formed once.
+        At tau = 0 and 1 the derivative basis values are exact integers,
+        which keeps ddr at a node the stored value bit for bit.
         """
         k = np.searchsorted(self.grid, tq, side="right") - 1
         k = np.clip(k, 1, len(self.grid) - 2)
@@ -610,12 +614,15 @@ class RadialProfile:
             return (r,)
         e0, e1 = self.dddr[k - 1], self.dddr[k]  # dddr has no axis entry
         dr = _quintic(basis, h, hh, d0, c0, e0, d1, c1, e1)
-        ddr = (
-            c0 * (2.0 * t3 - 3.0 * t2 + 1.0)
-            + h * e0 * (t3 - 2.0 * t2 + tau)
-            + c1 * (-2.0 * t3 + 3.0 * t2)
-            + h * e1 * (t3 - t2)
-        )
+        # d/dt = (1/h) d/dtau of the dr quintic, written out term by term
+        # rather than as _quintic(...) / h, which would round (h c0) / h.
+        g00 = -30.0 * t2 + 60.0 * t3 - 30.0 * t4
+        g10 = 1.0 - 18.0 * t2 + 32.0 * t3 - 15.0 * t4
+        g20 = 0.5 * (2.0 * tau - 9.0 * t2 + 12.0 * t3 - 5.0 * t4)
+        g01 = 30.0 * t2 - 60.0 * t3 + 30.0 * t4
+        g11 = -12.0 * t2 + 28.0 * t3 - 15.0 * t4
+        g21 = 0.5 * (3.0 * t2 - 8.0 * t3 + 5.0 * t4)
+        ddr = (d0 * g00 + d1 * g01) / h + c0 * g10 + c1 * g11 + h * (e0 * g20 + e1 * g21)
         return r, dr, ddr
 
 

@@ -179,7 +179,8 @@ def check_pde_residual(
     """Residual of the full translator equation at arbitrary points.
 
     For u(x) = r(|x|) the gradient and Hessian are assembled from the
-    interpolated (r', r''), and the equation
+    interpolated (r', r''), both from one quintic between nodes (r'' is
+    its derivative; see :meth:`RadialProfile.evaluate`), and the equation
 
         (delta_ij - u_i u_j / (1 + |Du|^2)) u_ij = (1 + |Du|^2)^((1-alpha)/2)
 

@@ -387,7 +387,7 @@ def series_eval_loop(series, t):
 
 
 # quintic Hermite basis on [0, 1]: value, first and second derivative
-# matched at both ends; cubic basis for the second-derivative channel.
+# matched at both ends; its tau-derivative for the second-derivative channel.
 
 def _quintic(tau, h, f0, d0, c0, f1, d1, c1):
     t2 = tau * tau
@@ -406,15 +406,20 @@ def _quintic(tau, h, f0, d0, c0, f1, d1, c1):
     )
 
 
-def _cubic(tau, h, f0, d0, f1, d1):
+def _quintic_slope(tau, h, f0, d0, c0, f1, d1, c1):
+    """d/dt of ``_quintic`` on a cell of width h: (1/h) d/dtau of each
+    basis value, with the 1/h and h folded into their terms so that the
+    derivative at tau = 0 and 1 is d0 and d1 exactly."""
     t2 = tau * tau
     t3 = t2 * tau
-    return (
-        f0 * (2.0 * t3 - 3.0 * t2 + 1.0)
-        + h * d0 * (t3 - 2.0 * t2 + tau)
-        + f1 * (-2.0 * t3 + 3.0 * t2)
-        + h * d1 * (t3 - t2)
-    )
+    t4 = t3 * tau
+    g00 = -30.0 * t2 + 60.0 * t3 - 30.0 * t4
+    g10 = 1.0 - 18.0 * t2 + 32.0 * t3 - 15.0 * t4
+    g20 = 0.5 * (2.0 * tau - 9.0 * t2 + 12.0 * t3 - 5.0 * t4)
+    g01 = 30.0 * t2 - 60.0 * t3 + 30.0 * t4
+    g11 = -12.0 * t2 + 28.0 * t3 - 15.0 * t4
+    g21 = 0.5 * (3.0 * t2 - 8.0 * t3 + 5.0 * t4)
+    return (f0 * g00 + f1 * g01) / h + d0 * g10 + d1 * g11 + h * (c0 * g20 + c1 * g21)
 
 
 def evaluate_oracle(profile, t):
@@ -422,8 +427,8 @@ def evaluate_oracle(profile, t):
 
     The reference for ``RadialProfile.evaluate``: node 0 at t = 0, the
     origin series below ``grid[1]``, and past it two quintic Hermite
-    interpolants (r, and dr) and a cubic one (ddr), each forming its own
-    basis.
+    interpolants (r, and dr) and the t-derivative of the dr one (ddr),
+    each forming its own basis.
     """
     from soliton_lab.series import series_eval
 
@@ -444,7 +449,7 @@ def evaluate_oracle(profile, t):
     r, dr, ddr, dddr = profile.r, profile.dr, profile.ddr, profile.dddr
     r_out[far] = _quintic(tau, h, r[k], dr[k], ddr[k], r[k + 1], dr[k + 1], ddr[k + 1])
     dr_out[far] = _quintic(tau, h, dr[k], ddr[k], dddr[j], dr[k + 1], ddr[k + 1], dddr[j + 1])
-    ddr_out[far] = _cubic(tau, h, ddr[k], dddr[j], ddr[k + 1], dddr[j + 1])
+    ddr_out[far] = _quintic_slope(tau, h, dr[k], ddr[k], dddr[j], dr[k + 1], ddr[k + 1], dddr[j + 1])
     return r_out, dr_out, ddr_out
 
 

@@ -215,6 +215,17 @@ def test_pde_residual_rotation_invariant(profile_of):
     assert b.metric == pytest.approx(a.metric, rel=1e-4)
 
 
+@pytest.mark.parametrize("n, alpha", [(2, 1.5), (3, 1.0)])
+def test_battery_pde_residual_keeps_the_contract_at_tol_1e_12(profile_of, n, alpha):
+    """At tol 1e-12 the battery's PDE residual stays inside the 1e-10
+    contract.  On these cells an r'' interpolant of lower order than the
+    derivative of the r' quintic reads 1.2e-10 and 1.3e-10 at every tol."""
+    reports = {rep.name: rep for rep in run_battery(profile_of(n, alpha, 200.0, 1e-12))}
+    rep = reports["pde-residual"]
+    assert rep.tolerance == 1e-10
+    assert rep.passed, rep
+
+
 def test_pde_residual_input_checks(profile_of):
     prof = profile_of(2, 1.0)
     with pytest.raises(ValueError):
