@@ -429,37 +429,10 @@ def _second_and_third(alpha: float, t, y, z, big_f):
     return f2, f3
 
 
-class _FormedOnRead:
-    """A derived array of :class:`RadialProfile`, held in the instance
-    dict under its own name.  Reading or writing it on a solved profile
-    whose derived arrays are not formed yet forms all three first."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def __get__(self, profile, owner=None):
-        if profile is None:
-            return self
-        slots = vars(profile)
-        if "_unformed" in slots:
-            profile._form_derived()
-        return slots[self.name]
-
-    def __set__(self, profile, value):
-        if "_unformed" in vars(profile):
-            profile._form_derived()
-        vars(profile)[self.name] = value
+# The arrays that a solved profile forms on first read.
+_DERIVED = ("phase_z", "ddr", "dddr")
 
 
-def _formed_on_read(cls):
-    """Put a :class:`_FormedOnRead` over each derived field of cls; the
-    dataclass fields keep their defaults, ``init`` and ``repr``."""
-    for name in ("phase_z", "ddr", "dddr"):
-        setattr(cls, name, _FormedOnRead(name))
-    return cls
-
-
-@_formed_on_read
 @dataclass(eq=False)
 class RadialProfile:
     """Sampled radial profile r(t) with first and second derivatives.
@@ -469,11 +442,12 @@ class RadialProfile:
     Arrays are owned by the profile and must not be mutated.
 
     A profile from :func:`solve_profile` forms ``ddr``, ``dddr`` and
-    ``phase_z`` together, once, on the first read (or write) of any of
-    them, so a caller of ``grid``, ``r`` and ``dr`` alone, such as
+    ``phase_z`` together, once, on the first read of any of them, so a
+    caller of ``grid``, ``r`` and ``dr`` alone, such as
     :func:`~soliton_lab.asymptotics.fit_far_field`, never pays for them;
-    the formulas are the solve's, and so are the bits.  A profile built by
-    hand or by ``dataclasses.replace`` holds the arrays it is given.
+    the formulas are the solve's, and so are the bits.  An array written
+    before that read is kept.  A profile built by hand or by
+    ``dataclasses.replace`` holds the arrays it is given.
 
     ``launch`` and ``handoff`` record where the solver's regimes meet, as
     indices into ``grid``.  The origin series fills ``grid[:launch + 1]``
@@ -499,13 +473,26 @@ class RadialProfile:
     # solve of the same params can take it over with ``series``.
     _far: tuple = field(default=None, repr=False)
 
+    def __getattr__(self, name):
+        # Called only for a name the instance lacks.  State is read through
+        # vars(self) alone: copy and pickle call this on an empty instance.
+        if name in _DERIVED and "_unformed" in vars(self):
+            self._form_derived()
+            return vars(self)[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self
+        )
+
     def _form_derived(self):
         """Form ``phase_z``, ``ddr`` and ``dddr`` from the node arrays
         (z, F) that :func:`solve_profile` left in ``_unformed``, z filled
         past the launch node and F past the handoff: z at the origin-series
         nodes from g(dr) there, F up to the handoff from the defect, then
-        r'' and r''' (see :func:`_second_and_third`)."""
-        z, big_f = vars(self).pop("_unformed")
+        r'' and r''' (see :func:`_second_and_third`).  Each is stored only
+        where the instance holds none, so an array written earlier is
+        kept."""
+        slots = vars(self)
+        z, big_f = slots.pop("_unformed")
         params, near, tail = self.params, self.launch, self.handoff
         n, alpha = params.n, params.alpha
         t, y = self.grid[1:], self.dr[1:]
@@ -514,11 +501,9 @@ class RadialProfile:
         y_in = y[:tail]
         big_f[:tail] = 1.0 + (n + c * y_in * y_in) * z[:tail]
         ddr, dddr = _second_and_third(alpha, t, y, z, big_f)
-        vars(self).update(
-            phase_z=z,
-            ddr=np.concatenate(([2.0 * self.series.coeffs[0]], ddr)),
-            dddr=dddr,
-        )
+        slots.setdefault("phase_z", z)
+        slots.setdefault("ddr", np.concatenate(([2.0 * self.series.coeffs[0]], ddr)))
+        slots.setdefault("dddr", dddr)
 
     @property
     def t_max(self) -> float:
@@ -675,10 +660,11 @@ def solve_profile(
 
     The solve itself forms r, r', the stepped z and, past the handoff, the
     far series' z and F = -t dz/dt; it evaluates g at the launch node
-    alone, for the stepper's starting z.  z at the other origin-series
-    nodes, r'' and r''' are formed on the first read of ``ddr``, ``dddr``
-    or ``phase_z`` (see :class:`RadialProfile`), so a caller that reads
-    only ``grid``, ``r`` and ``dr`` never pays for them.
+    alone, for the stepper's starting z.  The profile it returns holds no
+    ``ddr``, ``dddr`` or ``phase_z`` yet: z at the other origin-series
+    nodes, r'' and r''' are formed on the first read of any of the three
+    (see :class:`RadialProfile`), so a caller that reads only ``grid``,
+    ``r`` and ``dr`` never pays for them.
 
     ``grid_spacing`` defaults to 0.01 for alpha >= 1 and 0.00325 below:
     the transition region steepens like 2/alpha in log t.  The default
@@ -957,6 +943,9 @@ def solve_profile(
         handoff=tail,
         _far=(u_far, w_far),
     )
-    profile._unformed = (z_nodes, big_f)
+    slots = vars(profile)
+    for name in _DERIVED:
+        del slots[name]
+    slots["_unformed"] = (z_nodes, big_f)
     return profile
 

@@ -134,33 +134,26 @@ def sample_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -
     return x * (radius * u)[:, None]
 
 
-# Largest start offset of :func:`_ball_points`: below it k a keeps its
-# fraction to about 5e-7, far finer than the spacing of 1000 points.
-_OFFSET_MAX = 2 ** 32
-
-
-def _ball_points(count: int, dim: int, radius: float, offset: int = 0) -> np.ndarray:
+def _ball_points(count: int, dim: int, radius: float) -> np.ndarray:
     """``count`` evenly spread, deterministic points in the dim-ball of
     given radius, from numpy arithmetic alone (no ``numpy.random``).
 
     The R_d sequence (Roberts, 2018) u_k = frac(1/2 + k a), with
     a_j = phi^-j for j = 1..d and phi the positive root of
     x^(d+1) = x + 1, fills the unit d-cube with low discrepancy at every
-    count; here k runs from offset + 1 to offset + count.  It has
-    d = 1 + 2 ceil(dim/2) coordinates.  The first sets the radius
-    radius u^(1/dim), so the points are uniform in volume; each later pair
-    gives two normal deviates by Box-Muller, and the normalised vector of
-    the first dim of them is a uniform direction.
+    count; here k runs from 1 to count.  It has d = 1 + 2 ceil(dim/2)
+    coordinates.  The first sets the radius radius u^(1/dim), so the
+    points are uniform in volume; each later pair gives two normal
+    deviates by Box-Muller, and the normalised vector of the first dim of
+    them is a uniform direction.
     """
-    if not 0 <= offset < _OFFSET_MAX:
-        raise ValueError(f"point offset must lie in [0, {_OFFSET_MAX}), got {offset!r}")
     d = 1 + 2 * ((dim + 1) // 2)
     phi = 2.0
     for _ in range(30):  # a contraction by at most 1/(d+1) per pass
         phi = (1.0 + phi) ** (1.0 / (d + 1))
     a = phi ** -np.arange(1.0, d + 1.0)
     # One row per coordinate, so each transcendental runs on contiguous rows.
-    u = 0.5 + a[:, None] * np.arange(offset + 1.0, offset + count + 1.0)
+    u = 0.5 + a[:, None] * np.arange(1.0, count + 1.0)
     u -= np.floor(u)
     # 1 - u lies in (0, 1], so each Box-Muller modulus is finite.
     rho = np.sqrt(-2.0 * np.log1p(-u[1::2]))
@@ -426,16 +419,15 @@ def check_refinement_agreement(profile: RadialProfile) -> CheckReport:
 # battery
 # ----------------------------------------------------------------------
 
-def run_battery(profile: RadialProfile, rng_seed: int = 0) -> list[CheckReport]:
+def run_battery(profile: RadialProfile) -> list[CheckReport]:
     """Run every profile-level check on one solved profile.
 
     The PDE residual uses the 1000 deterministic points of
-    :func:`_ball_points` in the half-radius ball, with ``rng_seed`` as the
-    start offset of their sequence; the refinement check compares the
-    profile with one finer solve.
+    :func:`_ball_points` in the half-radius ball, the same on every call;
+    the refinement check compares the profile with one finer solve.
     """
     traj = phase_trajectory(profile)
-    points = _ball_points(1000, profile.params.n, profile.t_max / 2.0, rng_seed)
+    points = _ball_points(1000, profile.params.n, profile.t_max / 2.0)
     return [
         check_bounds(profile),
         check_phase_monotone(traj),

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import json
 import math
 import os
+import pickle
 import platform
 import re
 import subprocess
@@ -1346,6 +1348,30 @@ def test_a_write_before_the_first_read_is_kept():
     prof.ddr = ddr
     assert prof.dddr is not None
     assert prof.ddr is ddr
+
+
+def test_copies_of_an_unread_profile_form_the_same_arrays(monkeypatch):
+    """A deep copy and a pickle round trip of a solved profile whose derived
+    arrays are not formed yet form them on read with the original's bits.
+    Reading an unknown name raises AttributeError and forms nothing."""
+    g_sizes = []
+    g_eval_of = profile_module.g_eval
+
+    def counted_g(y, params):
+        g_sizes.append(np.size(y))
+        return g_eval_of(y, params)
+
+    monkeypatch.setattr(profile_module, "g_eval", counted_g)
+    prof = solve_profile(ModelParams(3, 2.0), 200.0)
+    with pytest.raises(AttributeError, match="ddrr"):
+        prof.ddrr
+    deep = copy.deepcopy(prof)
+    thawed = pickle.loads(pickle.dumps(prof))
+    assert g_sizes == [1]
+    for name in _DERIVED:
+        expected = getattr(prof, name).tobytes()
+        assert getattr(deep, name).tobytes() == expected, name
+        assert getattr(thawed, name).tobytes() == expected, name
 
 
 def test_series_of_other_params_are_not_taken_over(profile_of):

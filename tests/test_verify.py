@@ -128,8 +128,7 @@ def test_battery_points_fill_the_ball_evenly(n):
     """The battery's points are the same bits on every call, lie in the
     closed ball and are uniform in volume: the share within R q^(1/n) is q
     to within 0.015, where a uniform random sample's standard deviation
-    at q = 1/2 is 0.016.  Start offset 1 drops the first point and adds one
-    at the end."""
+    at q = 1/2 is 0.016."""
     radius = 100.0
     pts = verify_module._ball_points(1000, n, radius)
     assert pts.shape == (1000, n)
@@ -138,15 +137,6 @@ def test_battery_points_fill_the_ball_evenly(n):
     assert radii.max() <= radius
     for q in (0.25, 0.5, 0.75):
         assert abs(np.mean(radii <= radius * q ** (1.0 / n)) - q) <= 0.015, q
-    later = verify_module._ball_points(1000, n, radius, 1)
-    assert not np.array_equal(later, pts)
-    np.testing.assert_allclose(later[:-1], pts[1:], rtol=1e-14, atol=1e-12)
-
-
-@pytest.mark.parametrize("offset", [-1, 2 ** 32])
-def test_battery_points_refuse_an_offset_out_of_range(offset):
-    with pytest.raises(ValueError, match="point offset"):
-        verify_module._ball_points(10, 3, 1.0, offset)
 
 
 def test_run_battery_draws_no_random_numbers(profile_of, monkeypatch):
