@@ -142,18 +142,23 @@ def _slope_map_deriv(alpha: float, y):
     return w ** ((alpha - 3.0) / 2.0) * (1.0 + alpha * y * y)
 
 
-def _invert_slope(alpha: float, v: float) -> float:
-    """Solve g(y) = v for y >= 0, given v >= 0.
+def g_invert(v: float, params: ModelParams) -> float:
+    """Invert the slope map: the unique y >= 0 with g(y) = v.
 
-    Newton iteration inside a bisection bracket.  The seed sits on the
-    monotone side of the root (g is convex on y > 0 for alpha >= 1 and
-    concave for alpha <= 1), so the plain iteration already converges
-    monotonically; the bracket guards the last digits.
+    Scalar only; v must be finite and nonnegative.  Newton iteration inside
+    a bisection bracket, accurate to a relative tolerance well below 1e-12.
+    The seed sits on the monotone side of the root (g is convex on y > 0
+    for alpha >= 1 and concave for alpha <= 1), so the plain iteration
+    already converges monotonically; the bracket guards the last digits.
     """
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError(f"slope map inversion needs a finite value, got {v}")
     if v == 0.0:
         return 0.0
     if v < 0.0:
         raise ValueError(f"slope map inversion needs a nonnegative value, got {v}")
+    alpha = params.alpha
     if is_log_branch(alpha):
         return v
 
@@ -185,17 +190,6 @@ def _invert_slope(alpha: float, v: float) -> float:
             y_new = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * max(y, 1.0)
         y = y_new
     return y
-
-
-def g_invert(v: float, params: ModelParams) -> float:
-    """Invert the slope map: the unique y >= 0 with g(y) = v.
-
-    Scalar only.  Accurate to a relative tolerance well below 1e-12.
-    """
-    v = float(v)
-    if not math.isfinite(v):
-        raise ValueError(f"slope map inversion needs a finite value, got {v}")
-    return _invert_slope(params.alpha, v)
 
 
 # ----------------------------------------------------------------------

@@ -512,28 +512,30 @@ class RadialProfile:
     def evaluate(self, t):
         """Interpolate (r, dr, ddr) anywhere in [0, t_max].
 
-        At t = 0 the values are node 0, which is the origin series there
-        bit for bit; elsewhere below ``grid[1]`` the series is evaluated
-        directly, and past it piecewise quintic Hermite interpolation built
-        from the stored derivative data is used: one quintic for r, and one
+        Every point goes through piecewise quintic Hermite interpolation
+        built from the stored derivative data: one quintic for r, and one
         for dr whose t-derivative is ddr.  At the nodes ddr is the stored
-        ``ddr`` bit for bit.  Accepts scalars or arrays.  :meth:`_radius`
-        gives r alone.
+        ``ddr`` bit for bit.  Below ``grid[1]`` those values are then
+        overwritten: by node 0 at t = 0, which is the origin series there
+        bit for bit, and by the origin series elsewhere.  Accepts scalars
+        or arrays.  :meth:`_radius` gives r alone.
         """
         return self._interpolate(t, radius_only=False)
 
     def _radius(self, t):
-        """r alone, exactly ``evaluate(t)[0]``: the same point checks,
-        node 0 at the axis, the origin series below ``grid[1]`` and the
-        same quintic past it, without forming dr and ddr there.
+        """r alone, exactly ``evaluate(t)[0]``: the same point checks, the
+        same quintic at every point and the same overwrite below
+        ``grid[1]``, without forming dr and ddr.
         """
         return self._interpolate(t, radius_only=True)[0]
 
     def _interpolate(self, t, radius_only):
-        """:meth:`evaluate`, or its r alone as a one-element tuple."""
+        """:meth:`evaluate`, or its r alone as a one-element tuple.  Below
+        ``grid[1]``, where :meth:`_hermite` extrapolates the first cell, the
+        origin series overwrites its values, and node 0 those at t = 0."""
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
-        t_flat = np.atleast_1d(t_arr).astype(float)
+        t_flat = np.atleast_1d(t_arr)
         if not np.all(np.isfinite(t_flat)):
             raise ValueError("evaluation points must be finite")
         upper = self.t_max * _T_MAX_SLACK
@@ -543,29 +545,24 @@ class RadialProfile:
             )
         t_flat = np.minimum(t_flat, self.t_max)
 
-        far = t_flat >= self.grid[1]
-        if far.all():
-            out = self._hermite(t_flat, radius_only)
-        else:
-            out = tuple(np.empty_like(t_flat) for _ in range(1 if radius_only else 3))
-            origin = t_flat == 0.0
-            for o, nodes in zip(out, (self.r, self.dr, self.ddr)):
-                o[origin] = nodes[0]
-            near = ~(far | origin)
-            if near.any():
-                for o, values in zip(out, series_eval(self.series, t_flat[near])):
-                    o[near] = values
-            if far.any():
-                for o, values in zip(out, self._hermite(t_flat[far], radius_only)):
-                    o[far] = values
+        out = self._hermite(t_flat, radius_only)
+        origin = t_flat == 0.0
+        # series_eval costs about 100 us however few its points, so the
+        # axis points, which node 0 gives, skip it.
+        near = (t_flat < self.grid[1]) & ~origin
+        if near.any():
+            for o, values in zip(out, series_eval(self.series, t_flat[near])):
+                o[near] = values
+        for o, nodes in zip(out, (self.r, self.dr, self.ddr)):
+            o[origin] = nodes[0]
 
         if scalar:
             return tuple(float(o[0]) for o in out)
         return tuple(o.reshape(t_arr.shape) for o in out)
 
     def _hermite(self, tq, radius_only):
-        """(r, dr, ddr), or (r,) alone, at points tq >= grid[1], from the
-        nodes around each.
+        """(r, dr, ddr), or (r,) alone, at points tq, from the nodes around
+        each; below ``grid[1]`` it extrapolates the first lattice cell.
 
         r and dr are quintic Hermite interpolants, matching the value and
         first two derivatives at both nodes, and ddr is the t-derivative

@@ -14,7 +14,6 @@ from soliton_lab.model import (
     g_eval,
     g_invert,
     is_log_branch,
-    _invert_slope,
     _slope_map,
 )
 
@@ -178,7 +177,7 @@ def test_invert_slope_keeps_converged_iterate(monkeypatch):
     monkeypatch.setattr(model_module, "_slope_map", counting)
     for alpha, v in cases:
         calls.clear()
-        _invert_slope(alpha, v)
+        g_invert(v, ModelParams(2, alpha))
         assert len(calls) <= 7, (alpha, v, len(calls))
 
 

@@ -119,6 +119,13 @@ def test_overflow_guard():
     for n, alpha, t_max in ((10, 0.025, 1e4), (10, 0.012, 200.0)):
         with pytest.raises(SolverError, match=r"in r'' overflows float64"):
             solve_profile(ModelParams(n, alpha), t_max, 1e-10)
+    # Here the slope, about 1.4e30 at t_max, fits: log(t_max)/alpha is 760
+    # because the bound leaves out (n - 1), and the r'' guard reads 207.
+    # Yet this guard is the cell's only refusal, and must stay one: solved
+    # without it, the profile breaks the phase contract (residual 2.7e-5
+    # against 1e-8).
+    with pytest.raises(SolverError, match="predicted slope"):
+        solve_profile(ModelParams(1000, 0.01), 2000.0, 1e-10)
 
 
 def test_overflow_guard_admits_a_cell_just_inside():
@@ -1230,8 +1237,8 @@ def test_evaluate_matches_the_hermite_oracle_bitwise(profile_of, n, alpha):
 
     The points are seeded random ones past ``grid[1]``, every node, t = 0,
     points below ``grid[1]`` and t_max: all in one array, which takes
-    every branch, and the points past ``grid[1]`` alone, which take none
-    of the axis masks."""
+    the overwrite below ``grid[1]`` and the copy of node 0 at t = 0, and
+    the points past ``grid[1]`` alone, which take neither."""
     prof = profile_of(n, alpha)
     t_max = prof.t_max
     rng = np.random.default_rng(10 * n + int(4 * alpha))
