@@ -1,8 +1,9 @@
 """Rotationally symmetric translating solitons of power mean curvature flow.
 
 Profiles are built in three regimes: the origin power series out to the
-radius where it is exact in float64, explicit DOP853 integration in phase
-variables, and a far-field power series from the first node where the
+radius where it is exact in float64, explicit integration in phase
+variables (an order-10 Adams predictor-corrector while its gates hold,
+then DOP853), and a far-field power series from the first node where the
 integrated defect agrees with it to the integration tolerance.  Where the
 explicit stretch reaches its stability cap first, it hands off there only
 if the defect lies within the integrator's error scale of the series, and

@@ -63,7 +63,8 @@ _MAX_ORDER = 80
 # (``profile._FAR_CUT``).  A last term of order N falls below the cut of
 # the default tol, 1e-14, earliest near N = ln(1e14), about 32, and the
 # recursion (2 N^2 multiply-adds) and every far sum grow with N.  The n 2..6 x alpha
-# {0.5, 1, 2, 3} grid at t_max 200 takes 4,801 DOP853 steps at order 24,
+# {0.5, 1, 2, 3} grid at t_max 200 took, before the explicit stretch began
+# with Adams nodes, 4,801 DOP853 steps at order 24,
 # 4,638 at 28, 4,559 at 32, 4,543 at 34, 4,542 at 36, 4,555 at 40 and
 # 4,644 at 48; its solve time, measured in-process, moves less than its
 # noise from 24 to 36 and rises from 40 on, so 32 keeps near the fewest

@@ -392,8 +392,8 @@ def check_refinement_agreement(profile: RadialProfile) -> CheckReport:
 
     The finer run tightens the profile's tolerance tenfold (floored at the
     solver minimum) and halves the first node of its lattice, which shifts
-    every node; each solve's stepper starts where its own origin series
-    ends, at ``grid[launch]``.  Below tol 3e-12 both solves step at the
+    every node; each solve's explicit stretch starts where its own origin
+    series ends, at ``grid[launch]``.  Below tol 3e-12 both solves step at the
     solver's rtol floor, so the shifted lattice is their only difference.
     The finer solve takes over the profile's series coefficients, which
     depend on (n, alpha) alone.

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -40,7 +41,7 @@ from soliton_lab.model import (
     g_eval,
     g_invert,
 )
-from soliton_lab.phase import phase_trajectory
+from soliton_lab.phase import phase_trajectory, z_ode_residual
 from soliton_lab.profile import (
     RadialProfile,
     SolverError,
@@ -97,17 +98,26 @@ def test_validation_errors():
         solve_profile("params", 100.0, 1e-10)
 
 
+# Cells whose DOP853 part is bound by the lattice, not by its error norm:
+# every step lands on the next node, so its nodes do not move with rtol, and
+# the Adams part ends at the same node at rtol 3e-14 and 4e-14.
+_LATTICE_BOUND = {(3, 2.0)}
+
+
 @pytest.mark.parametrize(
-    "n, alpha, tol_a, tol_b", [(3, 2.0, 1e-12, 1e-13), (2, 0.5, 3e-12, 1e-13)]
+    "n, alpha, tol_a, tol_b",
+    [(3, 2.0, 1e-12, 1e-13), (2, 0.5, 3e-12, 1e-13), (3, 1.0, 1e-12, 1e-13)],
 )
 def test_nodes_stop_changing_at_the_rtol_floor(n, alpha, tol_a, tol_b):
-    """The stepper's rtol is max(tol/100, 3e-14): below tol 3e-12 it is floored."""
+    """The stepper's rtol is max(tol/100, 3e-14): below tol 3e-12 it is
+    floored.  Above the floor the nodes move where DOP853 is error-bound,
+    on (2, 0.5) and (3, 1), and stay put where it is lattice-bound."""
     a = solve_profile(ModelParams(n, alpha), 200.0, tol_a)
     b = solve_profile(ModelParams(n, alpha), 200.0, tol_b)
     for name in ("grid", "r", "dr", "ddr", "dddr", "phase_z"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     above = solve_profile(ModelParams(n, alpha), 200.0, 4e-12)  # rtol 4e-14
-    assert not np.array_equal(a.r, above.r)
+    assert np.array_equal(a.r, above.r) == ((n, alpha) in _LATTICE_BOUND)
 
 
 def test_overflow_guard():
@@ -613,12 +623,16 @@ def test_last_term_negligible_false_where_the_sum_overflows():
     ],
 )
 def test_launch_and_handoff_are_where_the_stepper_runs(monkeypatch, n, alpha, t_max, tol, end):
-    """The stepper starts at ``grid[launch]`` and lands on exactly
-    ``grid[launch + 1:handoff + 1]``; with no node to step it never starts.
+    """The Adams part fills ``grid[launch + 1:switch + 1]``, and DOP853
+    starts at ``grid[switch]`` and lands on exactly ``grid[switch +
+    1:handoff + 1]``; with no node to step neither starts.
 
-    The landings are the accepted DOP853 step endpoints that are nodes:
-    every accepted endpoint lies in (grid[launch], grid[handoff]], and the
-    last one is grid[handoff]."""
+    The Adams nodes are the PECE replay of ``_adams_candidate`` bit for
+    bit.  The landings are the accepted DOP853 step endpoints that are
+    nodes: every accepted endpoint lies in (grid[switch], grid[handoff]],
+    and the last one is grid[handoff].  On (15, 7) and (10, 10) the
+    stability gate never opens (the rate times h_s reads 0.18 and 0.12 at
+    the first candidate), so there DOP853 starts at the launch."""
     starts, accepted = [], []
 
     class Recording(profile_module._CarriedSlopeStepper):
@@ -637,14 +651,19 @@ def test_launch_and_handoff_are_where_the_stepper_runs(monkeypatch, n, alpha, t_
     last = len(prof.grid) - 1
     nodes = set(prof.grid.tolist())
     landings = [t for t in accepted if t in nodes]
-    assert landings == prof.grid[prof.launch + 1:prof.handoff + 1].tolist()
+    switch = prof.grid.tolist().index(starts[0]) if starts else prof.handoff
+    assert landings == prof.grid[switch + 1:prof.handoff + 1].tolist()
+    for k in range(prof.launch + 1, switch + 1):
+        _, node, _ = _adams_candidate(prof, k)
+        assert node == (prof.r[k], prof.phase_z[k - 1], prof.dr[k]), k
     if end == "series":
         assert prof.launch == prof.handoff == last and starts == [] and accepted == []
     else:
-        assert starts == [prof.grid[prof.launch]]
-        assert 1 <= prof.launch < prof.handoff
+        assert starts == [prof.grid[switch]]
+        assert 1 <= prof.launch <= switch < prof.handoff
+        assert (switch == prof.launch) == (end in ("cap", "t_max"))
         assert (prof.handoff == last) == (end == "t_max")
-        assert prof.grid[prof.launch] < accepted[0]
+        assert prof.grid[switch] < accepted[0]
         assert all(a < b for a, b in zip(accepted, accepted[1:]))
         assert accepted[-1] == prof.grid[prof.handoff]
 
@@ -690,15 +709,16 @@ def _reject_every_25th(i, norm):
 
 @pytest.mark.parametrize(
     "t_max, norm_of, steps",
-    [(200.0, None, 4_559), (2000.0, None, 4_560), (200.0, _reject_every_25th, None)],
+    [(200.0, None, 2_879), (2000.0, None, 2_880), (200.0, _reject_every_25th, None)],
 )
 def test_controller_replays_the_reference(monkeypatch, t_max, norm_of, steps):
     """Every step attempt of the grid solves is the one the reference
     controller makes, given the same error norms.
 
     ``helpers.controller_attempts`` is the accept/reject loop written with
-    ``min`` and ``max``.  Fed each solve's start and its recorded error
-    norms, it must ask for the same (t, h) at every attempt, to the bit.
+    ``min`` and ``max``.  Fed each solve's start, which is the node where
+    the Adams part ends, and its recorded error norms, it must ask for the
+    same (t, h) at every attempt, to the bit.
     The grid at tol 1e-10 rejects no step, so one pass also rejects every
     25th attempt with a norm of 3.  The grid's accepted steps are counted:
     a change that moves them has to say so.
@@ -709,7 +729,8 @@ def test_controller_replays_the_reference(monkeypatch, t_max, norm_of, steps):
         starts.clear()
         prof = solve_profile(ModelParams(n, alpha), t_max, 1e-10)
         ((t, h_abs),) = starts
-        nodes = prof.grid[prof.launch + 1:prof.handoff + 1].tolist()
+        switch = prof.grid.tolist().index(t)
+        nodes = prof.grid[switch + 1:prof.handoff + 1].tolist()
         replay = controller_attempts(t, h_abs, nodes, [norm for _, _, norm in attempts])
         assert replay == [(t, h) for t, h, _ in attempts], (n, alpha)
         accepted += sum(norm < 1.0 for _, _, norm in attempts)
@@ -757,6 +778,194 @@ def test_a_step_never_accepted_raises(monkeypatch, norm):
     min_step = 10.0 * (math.nextafter(t, math.inf) - t)
     assert all(a[0] == t for a in attempts)
     assert min_step <= attempts[-1][1] < 5.0 * min_step
+
+
+# The Adams part of the explicit stretch.  ``_ATOL`` is the stepper's fixed
+# absolute floor on the defect channel.
+_ATOL = 1e-13
+
+
+def _adams_weights(implicit):
+    """The order-10 Adams weights, newest first, as exact fractions: the
+    integrals over [0, 1] of the Lagrange basis on the nodes 0, -1, ..., -9
+    (Adams-Bashforth) or 1, 0, ..., -8 (Adams-Moulton), in steps."""
+    nodes = [1 - j for j in range(10)] if implicit else [-j for j in range(10)]
+    weights = []
+    for ti in nodes:
+        poly = [Fraction(1)]  # coefficients in the step variable, lowest first
+        for tj in nodes:
+            if tj != ti:
+                shifted = [Fraction(0), *poly]
+                poly = [(shifted[i] - tj * (poly[i] if i < len(poly) else 0)) / (ti - tj)
+                        for i in range(len(shifted))]
+        weights.append(sum(c / (i + 1) for i, c in enumerate(poly)))
+    return weights
+
+
+def test_adams_weights_are_the_exact_ones():
+    """The 20 literals are the order-10 weights within one ulp each."""
+    for literals, implicit in (
+        (profile_module._ADAMS_BASHFORTH, False), (profile_module._ADAMS_MOULTON, True)
+    ):
+        exact = _adams_weights(implicit)
+        assert len(literals) == len(exact) == 10 and sum(exact) == 1
+        for literal, weight in zip(literals, exact):
+            assert abs(Fraction(literal) - weight) <= Fraction(math.ulp(literal)), literal
+
+
+def _pece_spectral_radius(mu):
+    """Largest root modulus of the PECE pair on y' = lambda y, mu = h lambda:
+
+        zeta^10 - zeta^9 = mu a_0 (zeta^9 + mu sum_j b_j zeta^(9-j))
+                           + mu sum_(j>=1) a_j zeta^(10-j),
+
+    with b the predictor's and a the corrector's weights, newest first."""
+    b, a = profile_module._ADAMS_BASHFORTH, profile_module._ADAMS_MOULTON
+    by_power = np.zeros(11)
+    by_power[10] = 1.0
+    by_power[9] = -1.0 - mu * a[0]
+    for j in range(10):
+        by_power[9 - j] -= mu * a[0] * mu * b[j]
+    for j in range(1, 10):
+        by_power[10 - j] -= mu * a[j]
+    return float(np.abs(np.roots(by_power[::-1])).max())
+
+
+def test_adams_stability_bound():
+    """The gate's 0.106 is half the pair's real-axis stability bound: the
+    roots of its characteristic polynomial leave the unit disk at h lambda
+    = -0.2129, and 0.212 is that to 1e-3.  Inside it every root stays in."""
+    lo, hi = 0.1, 0.5
+    assert _pece_spectral_radius(-lo) < 1.0 < _pece_spectral_radius(-hi)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _pece_spectral_radius(-mid) <= 1.0 else (lo, mid)
+    bound = 2.0 * profile_module._ADAMS_STABILITY
+    assert abs(lo - bound) <= 1e-3, lo
+    assert all(_pece_spectral_radius(-x) <= 1.0 for x in np.linspace(1e-3, bound, 200))
+
+
+def _adams_candidate(prof, k):
+    """The Adams PECE candidate for grid node k from the stored nodes k - 10
+    to k - 1, with the solver's arithmetic: the predicted and the corrected
+    (r, z, y), and the relaxation rate at the corrected node (the handoff
+    test's, through g') times the lattice spacing h_s."""
+    n, alpha = prof.params.n, prof.params.alpha
+    m = float(n - 1)
+    c, wp_exp = alpha * m, (3.0 - alpha) / 2.0
+    t = prof.grid.tolist()
+    h_s = (math.log(t[-1]) - math.log(t[1])) / (len(t) - 2)
+    r, y, z = prof.r.tolist(), prof.dr.tolist(), [math.nan, *prof.phase_z.tolist()]
+
+    def rhs(tj, zj, yj):
+        return tj * yj, -(1.0 + n * zj + c * zj * yj * yj), -tj * zj * (1.0 + yj * yj) ** wp_exp
+
+    f = [rhs(t[j], z[j], y[j]) for j in range(k - 1, k - 11, -1)]  # newest first
+    start = (r[k - 1], z[k - 1], y[k - 1])
+    b, a = profile_module._ADAMS_BASHFORTH, profile_module._ADAMS_MOULTON
+    pred = tuple(
+        x + h_s * sum(w * fj[i] for w, fj in zip(b, f)) for i, x in enumerate(start)
+    )
+    f = [rhs(t[k], pred[1], pred[2]), *f]
+    corr = tuple(
+        x + h_s * sum(w * fj[i] for w, fj in zip(a, f)) for i, x in enumerate(start)
+    )
+    cz, cy = corr[1], corr[2]
+    rate = n + c * (cy * cy + 2.0 * cz * cy * t[k] / (m * _slope_map_deriv(alpha, cy)))
+    return pred, corr, rate * h_s
+
+
+def _adams_gate_ratio(prof, k):
+    """The larger of the two gates' readings at node k's candidate, each as
+    a fraction of its bound: the corrector's move in r, z and y against 0.1
+    of the error scale, and the rate times h_s against 0.106.  inf where the
+    candidate leaves float range."""
+    try:
+        pred, corr, rate_h = _adams_candidate(prof, k)
+    except OverflowError:
+        return math.inf
+    rtol = _stepper_rtol(prof.tol)
+    scales = (_ATOL + rtol * abs(corr[0]), _ATOL + rtol * abs(corr[1]), rtol * abs(corr[2]))
+    moves = [abs(c - p) / (0.1 * s) for p, c, s in zip(pred, corr, scales)]
+    return max(*moves, rate_h / 0.106)
+
+
+def test_adams_nodes_meet_both_gates(monkeypatch):
+    """On the 20 grid cells at t_max 200, every node from the launch to the
+    switch, where DOP853 starts, is the Adams candidate bit for bit and
+    meets both gates, and the candidate at the next node fails one of them.
+    The grid's Adams nodes are counted: a change that moves them has to say
+    so."""
+    _, starts = _record_attempts(monkeypatch)
+    adams_nodes = 0
+    for n, alpha in _GRID:
+        starts.clear()
+        prof = solve_profile(ModelParams(n, alpha), 200.0, 1e-10)
+        ((t_switch, _),) = starts
+        switch = prof.grid.tolist().index(t_switch)
+        for k in range(prof.launch + 1, switch + 1):
+            _, node, _ = _adams_candidate(prof, k)
+            assert node == (prof.r[k], prof.phase_z[k - 1], prof.dr[k]), (n, alpha, k)
+            assert _adams_gate_ratio(prof, k) <= 1.0 + 1e-9, (n, alpha, k)
+        assert _adams_gate_ratio(prof, switch + 1) > 1.0 - 1e-9, (n, alpha)
+        adams_nodes += switch - prof.launch
+    assert adams_nodes == 1_685
+
+
+@pytest.mark.parametrize("t_max", [200.0, 2000.0])
+def test_adams_part_moves_no_regime_boundary(monkeypatch, profile_of, t_max):
+    """With the Adams part turned off (a history longer than any origin
+    series), the 20 grid cells keep their launch and handoff, and every node
+    of r, dr, ddr and z stays within 1e-13 relative (measured: 3.0e-14)."""
+    solves = {cell: profile_of(*cell, t_max) for cell in _GRID}
+    monkeypatch.setattr(profile_module, "_ADAMS_HISTORY", 10**9)
+    for cell, prof in solves.items():
+        off = solve_profile(ModelParams(*cell), t_max, 1e-10)
+        assert (off.launch, off.handoff) == (prof.launch, prof.handoff), cell
+        for name in ("r", "dr", "ddr", "phase_z"):
+            np.testing.assert_allclose(
+                getattr(prof, name), getattr(off, name), rtol=1e-13, atol=0.0,
+                err_msg=f"{cell} {name}",
+            )
+
+
+def test_adams_part_keeps_the_phase_residual(monkeypatch, profile_of):
+    """The Adams nodes are steps of the method, not interpolants, so the
+    phase check's sixth-order stencil sees no new wiggle: on the 20 grid
+    cells at t_max 200 and tol 1e-10 the largest |z_ode_residual| is at
+    most twice what it is with the Adams part off (measured: the same to
+    2e-6 relative).  Dense output failed exactly here, by 150 times."""
+
+    def worst(solves):
+        return max(float(np.abs(z_ode_residual(phase_trajectory(p))).max()) for p in solves)
+
+    on = worst(profile_of(n, alpha) for n, alpha in _GRID)
+    monkeypatch.setattr(profile_module, "_ADAMS_HISTORY", 10**9)
+    off = worst(solve_profile(ModelParams(n, alpha), 200.0, 1e-10) for n, alpha in _GRID)
+    assert on <= 2.0 * off, (on, off)
+
+
+def test_a_short_origin_series_steps_from_the_launch(monkeypatch):
+    """With fewer origin-series nodes than the Adams history the stretch is
+    DOP853 alone, from the launch, and the solve evaluates g there alone.
+    At degree 8 from t = 0.01 at spacing 0.02 the series fills 6 nodes."""
+    _, starts = _record_attempts(monkeypatch)
+    g_sizes = []
+    g_eval_of = profile_module.g_eval
+
+    def counted_g(y, params):
+        g_sizes.append(np.size(y))
+        return g_eval_of(y, params)
+
+    monkeypatch.setattr(profile_module, "g_eval", counted_g)
+    monkeypatch.setattr(
+        profile_module, "series_coefficients", lambda p: series_module.series_coefficients(p, 8)
+    )
+    prof = solve_profile(ModelParams(3, 2.0), 200.0, 1e-10, grid_spacing=0.02)
+    assert 1 <= prof.launch < profile_module._ADAMS_HISTORY
+    assert [t for t, _ in starts] == [prof.grid[prof.launch]]
+    assert g_sizes == [1]
+    assert prof.launch < prof.handoff
 
 
 def _radau_past_handoff(profile_of, n, alpha, t_max):
@@ -1314,8 +1523,8 @@ _DERIVED = ("phase_z", "ddr", "dddr")
 
 @pytest.mark.parametrize("first", _DERIVED)
 def test_solve_forms_derived_arrays_on_first_read(monkeypatch, profile_of, first):
-    """A solve and a far-field fit of it evaluate g at the launch node alone
-    and form no r'' or r'''.  The first read of any of ``phase_z``, ``ddr``
+    """A solve and a far-field fit of it evaluate g once, at the Adams
+    part's history nodes, and form no r'' or r'''.  The first read of any of ``phase_z``, ``ddr``
     and ``dddr`` forms all three, once, with the bits whichever is read
     first, and evaluates g at the origin-series nodes for z there.  A
     ``dataclasses.replace`` copy keeps the arrays."""
@@ -1335,9 +1544,10 @@ def test_solve_forms_derived_arrays_on_first_read(monkeypatch, profile_of, first
     monkeypatch.setattr(profile_module, "_second_and_third", counted_second_and_third)
     prof = solve_profile(ModelParams(3, 2.0), 200.0, 1e-10)
     fit_far_field(prof)
-    assert g_sizes == [1] and not formed
+    history = profile_module._ADAMS_HISTORY
+    assert g_sizes == [history] and not formed
     held = {name: getattr(prof, name) for name in (first, *_DERIVED)}
-    assert g_sizes == [1, prof.launch] and len(formed) == 1
+    assert g_sizes == [history, prof.launch] and len(formed) == 1
     for name, value in held.items():
         assert getattr(prof, name) is value, name
         assert value.tobytes() == reference[name].tobytes(), name
@@ -1374,7 +1584,7 @@ def test_copies_of_an_unread_profile_form_the_same_arrays(monkeypatch):
         prof.ddrr
     deep = copy.deepcopy(prof)
     thawed = pickle.loads(pickle.dumps(prof))
-    assert g_sizes == [1]
+    assert g_sizes == [profile_module._ADAMS_HISTORY]
     for name in _DERIVED:
         expected = getattr(prof, name).tobytes()
         assert getattr(deep, name).tobytes() == expected, name
