@@ -794,10 +794,11 @@ def _adams_weights(implicit):
     for ti in nodes:
         poly = [Fraction(1)]  # coefficients in the step variable, lowest first
         for tj in nodes:
-            if tj != ti:
-                shifted = [Fraction(0), *poly]
-                poly = [(shifted[i] - tj * (poly[i] if i < len(poly) else 0)) / (ti - tj)
-                        for i in range(len(shifted))]
+            if tj != ti:  # times (x - tj)/(ti - tj)
+                poly = [
+                    (lower - tj * same) / (ti - tj)
+                    for lower, same in zip([0, *poly], [*poly, 0])
+                ]
         weights.append(sum(c / (i + 1) for i, c in enumerate(poly)))
     return weights
 
