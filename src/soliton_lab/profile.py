@@ -36,14 +36,15 @@ corrector in PECE form, stepped in s = log t at the lattice spacing h_s
 with its history read from the last ten origin-series nodes: two
 right-hand sides per node.  A node is taken by Adams only while two gates
 hold: the relaxation rate times h_s is at most 0.106, half the pair's
-real-axis stability bound of 0.212, and the corrector moves r and z by at
-most 0.1 of the stepper's error scale (atol + rtol |.|) and y by at most
-0.1 rtol |y|.  From the last Adams node (or from the launch, with fewer
-than ten origin-series nodes) an explicit embedded Runge-Kutta method
-(DOP853, stepped here on Python scalars with the standard error norm and
-step-size controller) takes over.  On the 20-cell grid at t_max 200 Adams
-takes 1,685 of the 4,041 explicit nodes, and DOP853 takes 2,879 steps
-where alone it took 4,559; every node stays within 3.0e-14 relative of
+real-axis stability bound of 0.212, and the corrector moves z by at most
+0.1 of the stepper's error scale (atol + rtol |z|) and y by at most 0.1
+rtol |y|.  The first node that fails a gate or overflows ends the Adams
+part, and from the last Adams node (or from the launch, with fewer than
+ten origin-series nodes) an explicit embedded Runge-Kutta method (DOP853,
+stepped here on Python scalars with the standard error norm and
+step-size controller) takes over, if any node remains.  On the 20-cell
+grid at t_max 200 Adams takes 1,685 of the 4,041 explicit nodes, and
+DOP853 takes 2,879 steps; every node stays within 3.0e-14 relative of
 the DOP853-only solve.  In the far field the relaxation rate
 toward the slow manifold grows like alpha (n - 1) y^2 per unit log t with
 y ~ t^(1/alpha), which is unbounded: around 1e4 already for n = 2,
@@ -62,7 +63,13 @@ manifold, so the gap only shrinks.  If the relaxation rate first passes
 the stability budget per grid step, the stretch hands off there only with
 z within the stepper's error scale (atol + rtol |z|) of the series, and
 raises :class:`SolverError` otherwise (on the surveyed range, n = 2 at
-alpha 0.15 and 0.2).  Every later node is one evaluation of that series,
+alpha 0.15 and 0.2).  Only DOP853's nodes run that handoff test.  At an
+Adams node its stability branch cannot fire: the Adams gate keeps the
+rate at most 0.106/h_s, at most 0.212 over the grid spacing, a fourteenth
+of the budget.  Its agreement branch held at no Adams node of a
+2,080-solve survey (n 2..15, alpha 0.15..10, tol 1e-13..1e-6, t_max
+100..1e4); were it to hold at one, DOP853 would hand off at its first
+node.  Every later node is one evaluation of that series,
 and so is its radius: each term of the slope series is a power of t and
 integrates exactly from the handoff node, where the radius is matched
 (the matched integration constant of Bender and Orszag, Advanced
@@ -72,8 +79,8 @@ Both series, their recursions and their sums live in
 :mod:`soliton_lab.series`; this module holds the solver.
 
 Grid nodes are exact integrator step endpoints in the explicit stretch:
-every Adams node is one step of the method, and past them the node loop
-of :func:`solve_profile` runs DOP853's accept/reject loop on Python floats
+every Adams node is one step of the method, and past them
+:func:`solve_profile` runs DOP853's accept/reject loop on Python floats
 up to each node of a grid uniform in s = log t and clips the last step to
 land on it.  Dense-output interpolants carry enough wiggle to ruin
 finite-difference residual diagnostics downstream, step endpoints do not:
@@ -155,11 +162,9 @@ _ADAMS_MOULTON = (
     -0.08038952270723104, 0.00789255401234568,
 )
 _ADAMS_HISTORY = 10
-# A node is an Adams node only while the relaxation rate times the lattice
-# spacing is at most half the pair's real-axis stability bound, 0.212
-# (Solving ODEs I, III.4), and the corrector moves r and z by at most
-# _ADAMS_GAP of the stepper's error scale, atol + rtol |.|, and y by at most
-# _ADAMS_GAP rtol |y|.
+# The Adams gates of the module docstring: the bound on the relaxation rate
+# times the lattice spacing (the stability bound of Solving ODEs I, III.4,
+# halved), and the corrector's largest move as a fraction of the error scale.
 _ADAMS_STABILITY = 0.106
 _ADAMS_GAP = 0.1
 
@@ -492,14 +497,10 @@ class RadialProfile:
     indices into ``grid``.  The origin series fills ``grid[:launch + 1]``
     and the explicit stretch starts from ``grid[launch]``; it fills
     ``grid[launch + 1:handoff + 1]``, first with Adams nodes while their
-    two gates hold (relaxation rate times spacing at most 0.106, corrector
-    move at most 0.1 of the error scale) and then with the DOP853 steps
-    that start from the last Adams node (see :func:`solve_profile`; on the
-    20-cell grid at t_max 200, 1,685 Adams nodes and 2,879 DOP853 steps,
-    every node within 3.0e-14 relative of a DOP853-only solve), and the
-    far-field series fills ``grid[handoff + 1:]``.  ``handoff`` is ``len(grid) - 1`` when the
-    stretch runs to t_max, and equals ``launch`` when the origin series
-    fills every node.
+    gates hold and then with DOP853 steps from the last Adams node (see the
+    module docstring), and the far-field series fills ``grid[handoff +
+    1:]``.  ``handoff`` is ``len(grid) - 1`` when the stretch runs to t_max,
+    and equals ``launch`` when the origin series fills every node.
     """
 
     params: ModelParams
@@ -679,23 +680,18 @@ def solve_profile(
     or r'.  From the last such node the explicit stretch integrates the
     (r, z) system, landing exactly on every node.  Given ten or more
     origin-series nodes it starts with an order-10 Adams PECE pair in
-    s = log t, its history those ten nodes, and takes a node by Adams only
-    while the relaxation rate times the lattice spacing is at most 0.106
-    (half the pair's stability bound) and the corrector moves r and z by
-    at most 0.1 (atol + rtol |.|) and y by at most 0.1 rtol |y|.  The
-    first node that fails a gate or overflows is discarded, and an
-    explicit embedded Runge-Kutta method (DOP853, stepped in this module)
-    starts from the last Adams node, or from the launch.  On the 20-cell
-    grid at t_max 200 Adams takes 1,685 nodes, DOP853 takes 2,879 steps
-    (4,559 without the Adams part), and the nodes stay within 3.0e-14
-    relative of a DOP853-only solve.  Its controller is the standard one: an
-    accepted step grows by at most 10, and not at all right after a
-    rejection; a rejected one shrinks by at most 5, and by exactly 5 where
-    a stage overflows or the error norm is NaN; a step below ten ulps of t
-    raises :class:`SolverError`.  The stepper carries the slope y as a
-    third state, and the stored slope is the carried one, which meets
-    (n - 1) g(y) = (1 + z) t to the stepper's error (within 1.7e-14
-    relative).  The far-field series in ((n - 1)/t)^(2/alpha), where it
+    s = log t, its history those ten nodes, which takes nodes while its
+    gates hold (see the module docstring).  The first node that fails a
+    gate or overflows is discarded, and if any node remains an explicit
+    embedded Runge-Kutta method (DOP853, stepped in this module) starts
+    from the last Adams node, or from the launch.  Its controller is the
+    standard one: an accepted step grows by at most 10, and not at all
+    right after a rejection; a rejected one shrinks by at most 5, and by
+    exactly 5 where a stage overflows or the error norm is NaN; a step
+    below ten ulps of t raises :class:`SolverError`.  The stepper carries
+    the slope y as a third state, and the stored slope is the carried one,
+    which meets (n - 1) g(y) = (1 + z) t to the stepper's error (within
+    1.7e-14 relative).  The far-field series in ((n - 1)/t)^(2/alpha), where it
     has converged (its last term at most 1e-2 rtol of the sum, rtol the
     stepper's relative tolerance) and its z are evaluated once at every
     node past the last origin-series node.  At the first node where that
@@ -707,8 +703,9 @@ def solve_profile(
     relaxation rate passes the explicit stability budget per grid step
     before that, the handoff comes at that node provided
     |z - z_series| <= atol + rtol |z|, the stepper's error scale; a wider
-    gap raises :class:`SolverError`.  The handoff test runs at every node
-    of both parts.
+    gap raises :class:`SolverError`.  Only DOP853's nodes run the handoff
+    test, so where the Adams part reaches t_max, ``handoff`` is the last
+    node.
 
     The solve itself forms r, r', the stepped z and, past the handoff, the
     far series' z and F = -t dz/dt; it evaluates g in one call at the ten
@@ -867,100 +864,99 @@ def solve_profile(
     converged = (far_resolved[0] & far_resolved[1]).tolist()
     z_series = z_far.tolist()
 
-    adams = False
-    step = None  # DOP853 starts at the first node Adams does not take
+    # The explicit stretch, its nodes collected as Python floats: Adams PECE
+    # from the launch while its gates hold, then DOP853 from the last node
+    # Adams took up to t_max or the handoff.
+    r_ex, z_ex, y_ex = [], [], []
     if launch < n_seg:
         adams = launch + 1 >= _ADAMS_HISTORY
         # z at the history nodes, or at the launch node alone without the
         # Adams part; at the other origin-series nodes it is formed with r''
         # and r''' (see RadialProfile).
         first = launch + 1 - _ADAMS_HISTORY if adams else launch
-        z_hist = (
-            (n - 1.0) * g_eval(y_nodes[first:launch + 1], params) / t_arr[first:launch + 1]
-            - 1.0
-        ).tolist()
+        hist = slice(first, launch + 1)
+        z_hist = ((n - 1.0) * g_eval(y_nodes[hist], params) / t_arr[hist] - 1.0).tolist()
         r, z, y = float(r_nodes[launch]), z_hist[-1], float(y_nodes[launch])
-    if adams:
-        # The Adams part steps (r, z, y) in s = log t at the lattice spacing
-        # h_s, with (r, z, y)' = (t y, -(1 + n z + c z y^2), -t z wp), wp =
-        # (1 + y^2)^((3 - alpha)/2).  fr, fz and fy hold the rhs at every
-        # node from the first history node on, the newest last.
-        nf, wp_exp = float(n), (3.0 - alpha) / 2.0
-        h_s = (math.log(t_max) - math.log(t0)) / n_seg  # the step of s_nodes
-        adams_cap = _ADAMS_STABILITY / h_s
-        gap_atol, gap_rtol = _ADAMS_GAP * atol, _ADAMS_GAP * rtol
-        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = _ADAMS_BASHFORTH
-        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = _ADAMS_MOULTON
-        fr, fz, fy = [], [], []
-        y_hist = y_nodes[first:launch + 1].tolist()
-        for tk, zk, yk in zip(t_nodes[first:launch + 1], z_hist, y_hist):
-            fr.append(tk * yk)
-            fz.append(-(1.0 + nf * zk + c * zk * yk * yk))
-            fy.append(-tk * zk * (1.0 + yk * yk) ** wp_exp)
-    # The explicit stretch: Adams PECE while its gates hold, then DOP853's
-    # accept/reject loop up to each node, the last step clipped to land on
-    # it, and the handoff test at every node.  Its nodes are collected as
-    # Python floats.
-    r_ex, z_ex, y_ex = [], [], []
-    tail = n_seg + 1  # first far-series node; past the end until the handoff
-    for k in range(launch + 1, n_seg + 1):
-        tk = t_nodes[k]
         if adams:
-            try:
-                # Predict, evaluate, correct, evaluate.
-                pr = r + h_s * (
-                    b0 * fr[-1] + b1 * fr[-2] + b2 * fr[-3] + b3 * fr[-4] + b4 * fr[-5]
-                    + b5 * fr[-6] + b6 * fr[-7] + b7 * fr[-8] + b8 * fr[-9] + b9 * fr[-10]
-                )
-                pz = z + h_s * (
-                    b0 * fz[-1] + b1 * fz[-2] + b2 * fz[-3] + b3 * fz[-4] + b4 * fz[-5]
-                    + b5 * fz[-6] + b6 * fz[-7] + b7 * fz[-8] + b8 * fz[-9] + b9 * fz[-10]
-                )
-                py = y + h_s * (
-                    b0 * fy[-1] + b1 * fy[-2] + b2 * fy[-3] + b3 * fy[-4] + b4 * fy[-5]
-                    + b5 * fy[-6] + b6 * fy[-7] + b7 * fy[-8] + b8 * fy[-9] + b9 * fy[-10]
-                )
-                qr = tk * py
-                qz = -(1.0 + nf * pz + c * pz * py * py)
-                qy = -tk * pz * (1.0 + py * py) ** wp_exp
-                cr = r + h_s * (
-                    a0 * qr + a1 * fr[-1] + a2 * fr[-2] + a3 * fr[-3] + a4 * fr[-4]
-                    + a5 * fr[-5] + a6 * fr[-6] + a7 * fr[-7] + a8 * fr[-8] + a9 * fr[-9]
-                )
-                cz = z + h_s * (
-                    a0 * qz + a1 * fz[-1] + a2 * fz[-2] + a3 * fz[-3] + a4 * fz[-4]
-                    + a5 * fz[-5] + a6 * fz[-6] + a7 * fz[-7] + a8 * fz[-8] + a9 * fz[-9]
-                )
-                cy = y + h_s * (
-                    a0 * qy + a1 * fy[-1] + a2 * fy[-2] + a3 * fy[-3] + a4 * fy[-4]
-                    + a5 * fy[-5] + a6 * fy[-6] + a7 * fy[-7] + a8 * fy[-8] + a9 * fy[-9]
-                )
-                wp = (1.0 + cy * cy) ** wp_exp
+            # The Adams part steps (r, z, y) in s = log t at the lattice
+            # spacing h_s, with (r, z, y)' = (t y, -(1 + n z + c z y^2),
+            # -t z wp), wp = (1 + y^2)^((3 - alpha)/2).  fr, fz and fy hold
+            # the rhs at every node from the first history node on, the
+            # newest last.
+            nf, wp_exp = float(n), (3.0 - alpha) / 2.0
+            h_s = (math.log(t_max) - math.log(t0)) / n_seg  # the step of s_nodes
+            adams_cap = _ADAMS_STABILITY / h_s
+            gap_atol, gap_rtol = _ADAMS_GAP * atol, _ADAMS_GAP * rtol
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = _ADAMS_BASHFORTH
+            a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = _ADAMS_MOULTON
+            fr, fz, fy = [], [], []
+            for tk, zk, yk in zip(t_nodes[hist], z_hist, y_nodes[hist].tolist()):
+                fr.append(tk * yk)
+                fz.append(-(1.0 + nf * zk + c * zk * yk * yk))
+                fy.append(-tk * zk * (1.0 + yk * yk) ** wp_exp)
+            for k in range(launch + 1, n_seg + 1):
+                tk = t_nodes[k]
+                try:
+                    # Predict, evaluate, correct, evaluate.
+                    pr = r + h_s * (
+                        b0 * fr[-1] + b1 * fr[-2] + b2 * fr[-3] + b3 * fr[-4] + b4 * fr[-5]
+                        + b5 * fr[-6] + b6 * fr[-7] + b7 * fr[-8] + b8 * fr[-9] + b9 * fr[-10]
+                    )
+                    pz = z + h_s * (
+                        b0 * fz[-1] + b1 * fz[-2] + b2 * fz[-3] + b3 * fz[-4] + b4 * fz[-5]
+                        + b5 * fz[-6] + b6 * fz[-7] + b7 * fz[-8] + b8 * fz[-9] + b9 * fz[-10]
+                    )
+                    py = y + h_s * (
+                        b0 * fy[-1] + b1 * fy[-2] + b2 * fy[-3] + b3 * fy[-4] + b4 * fy[-5]
+                        + b5 * fy[-6] + b6 * fy[-7] + b7 * fy[-8] + b8 * fy[-9] + b9 * fy[-10]
+                    )
+                    qr = tk * py
+                    qz = -(1.0 + nf * pz + c * pz * py * py)
+                    qy = -tk * pz * (1.0 + py * py) ** wp_exp
+                    cr = r + h_s * (
+                        a0 * qr + a1 * fr[-1] + a2 * fr[-2] + a3 * fr[-3] + a4 * fr[-4]
+                        + a5 * fr[-5] + a6 * fr[-6] + a7 * fr[-7] + a8 * fr[-8] + a9 * fr[-9]
+                    )
+                    cz = z + h_s * (
+                        a0 * qz + a1 * fz[-1] + a2 * fz[-2] + a3 * fz[-3] + a4 * fz[-4]
+                        + a5 * fz[-5] + a6 * fz[-6] + a7 * fz[-7] + a8 * fz[-8] + a9 * fz[-9]
+                    )
+                    cy = y + h_s * (
+                        a0 * qy + a1 * fy[-1] + a2 * fy[-2] + a3 * fy[-3] + a4 * fy[-4]
+                        + a5 * fy[-5] + a6 * fy[-6] + a7 * fy[-7] + a8 * fy[-8] + a9 * fy[-9]
+                    )
+                    wp = (1.0 + cy * cy) ** wp_exp
+                except OverflowError:
+                    break
                 # The gates, written so that NaN fails them.  With g'(y) =
                 # (1 + alpha y^2)/wp, the rate is the handoff test's.
-                adams = (
-                    abs(cr - pr) <= gap_atol + gap_rtol * abs(cr)
-                    and abs(cz - pz) <= gap_atol + gap_rtol * abs(cz)
+                if not (
+                    abs(cz - pz) <= gap_atol + gap_rtol * abs(cz)
                     and abs(cy - py) <= gap_rtol * abs(cy)
                     and nf + c * cy * (cy + 2.0 * cz * tk * wp / (m * (1.0 + alpha * cy * cy)))
                     <= adams_cap
-                )
-            except OverflowError:
-                adams = False
-            if adams:
+                ):
+                    break
                 r, z, y = cr, cz, cy
-                fr.append(tk * cy)
-                fz.append(-(1.0 + nf * cz + c * cz * cy * cy))
-                fy.append(-tk * cz * wp)
-        if not adams:
-            if step is None:
-                # DOP853 starts from the last node: the launch or the last
-                # Adams node.
-                stepper = _CarriedSlopeStepper(
-                    n, alpha, t_nodes[k - 1], r, z, y, t_max, rtol=rtol, atol=atol
-                )
-                step = stepper._rk_step
-                t, f, h_abs = stepper.t, stepper.f, stepper.h_abs
+                if not (math.isfinite(r) and math.isfinite(z) and math.isfinite(y)):
+                    raise SolverError(f"non-finite state at t = {tk:.6g}")
+                r_ex.append(r)
+                z_ex.append(z)
+                y_ex.append(y)
+                fr.append(tk * y)
+                fz.append(-(1.0 + nf * z + c * z * y * y))
+                fy.append(-tk * z * wp)
+    tail = n_seg + 1  # first far-series node; past the end until the handoff
+    k = launch + 1 + len(r_ex)  # the first node DOP853 fills
+    if k <= n_seg:
+        # DOP853 starts from the last node: the launch or the last Adams
+        # node.  It runs the accept/reject loop up to each node, the last
+        # step clipped to land on it, and the handoff test there.
+        stepper = _CarriedSlopeStepper(n, alpha, t_nodes[k - 1], r, z, y, t_max, rtol, atol)
+        step = stepper._rk_step
+        t, f, h_abs = stepper.t, stepper.f, stepper.h_abs
+        for k in range(k, n_seg + 1):
+            tk = t_nodes[k]
             while t < tk:
                 rejected = False
                 while True:
@@ -1004,31 +1000,31 @@ def solve_profile(
                     h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
                     rejected = True
                 t, (r, z, y), f = t_new, state, f_new
-        if not (math.isfinite(r) and math.isfinite(z) and math.isfinite(y)):
-            raise SolverError(f"non-finite state at t = {tk:.6g}")
-        r_ex.append(r)
-        z_ex.append(z)
-        y_ex.append(y)
-        if k == n_seg:
-            break
-        j = k - launch - 1
-        if not converged[j]:
-            continue
-        gap = abs(z - z_series[j])
-        if gap > rtol * abs(z):
-            dydz = tk / (m * _slope_map_deriv(alpha, y))
-            if not n + c * (y * y + 2.0 * z * y * dydz) > rate_cap:
+            if not (math.isfinite(r) and math.isfinite(z) and math.isfinite(y)):
+                raise SolverError(f"non-finite state at t = {tk:.6g}")
+            r_ex.append(r)
+            z_ex.append(z)
+            y_ex.append(y)
+            if k == n_seg:
+                break
+            j = k - launch - 1
+            if not converged[j]:
                 continue
-            limit = atol + rtol * abs(z)
-            if gap > limit:
-                raise SolverError(
-                    f"(n, alpha) = ({n}, {alpha:g}) is outside the supported range: at "
-                    f"t = {tk:.6g} the explicit stretch reached its stability cap with z "
-                    f"{gap:.3g} off the far-field series, above the limit "
-                    f"atol + rtol |z| = {limit:.3g}"
-                )
-        tail = k + 1
-        break
+            gap = abs(z - z_series[j])
+            if gap > rtol * abs(z):
+                dydz = tk / (m * _slope_map_deriv(alpha, y))
+                if not n + c * (y * y + 2.0 * z * y * dydz) > rate_cap:
+                    continue
+                limit = atol + rtol * abs(z)
+                if gap > limit:
+                    raise SolverError(
+                        f"(n, alpha) = ({n}, {alpha:g}) is outside the supported range: at "
+                        f"t = {tk:.6g} the explicit stretch reached its stability cap with z "
+                        f"{gap:.3g} off the far-field series, above the limit "
+                        f"atol + rtol |z| = {limit:.3g}"
+                    )
+            tail = k + 1
+            break
     explicit = slice(launch + 1, tail)
     r_nodes[explicit] = r_ex
     z_nodes[explicit] = z_ex

@@ -51,10 +51,12 @@ __all__ = ["OriginSeries", "series_coefficients", "series_eval"]
 # about n (where r'^2 = -1).  At degree 80 the last term stays below 1e-16
 # of the sum out to t of about 1.6 to 5.9 on the n 2..6 x alpha
 # {0.5, 1, 2, 3} grid, and the solver fills every node out to there from
-# the series.  The grid at t_max 200 then took 4,927 explicit steps (with
-# a 48-term far series), against 6,309 at degree 40 and 4,653 at 100; from
-# degree 64 to 120 its solve time is flat within the noise, as the longer
-# sums eat what the fewer steps save.
+# the series.  80 was chosen for the explicit steps it saved before the
+# explicit stretch began with Adams nodes, when the grid at t_max 200 took
+# 4,927 of them against 6,309 at degree 40.  With the Adams part the grid
+# at t_max 200 and tol 1e-10 takes 2,881 DOP853 steps at degree 40, 2,879
+# at 64 and 80, 2,871 at 100 and 2,867 at 120: the degree now moves the
+# Adams nodes (3,075, 2,037, 1,685, 1,418 and 1,237) and hardly the steps.
 _MAX_ORDER = 80
 
 # Order of the far-field series past the explicit stretch.  Its
@@ -62,13 +64,14 @@ _MAX_ORDER = 80
 # and the handoff waits until the last term is within the solver's cut
 # (``profile._FAR_CUT``).  A last term of order N falls below the cut of
 # the default tol, 1e-14, earliest near N = ln(1e14), about 32, and the
-# recursion (2 N^2 multiply-adds) and every far sum grow with N.  The n 2..6 x alpha
-# {0.5, 1, 2, 3} grid at t_max 200 took, before the explicit stretch began
-# with Adams nodes, 4,801 DOP853 steps at order 24,
-# 4,638 at 28, 4,559 at 32, 4,543 at 34, 4,542 at 36, 4,555 at 40 and
-# 4,644 at 48; its solve time, measured in-process, moves less than its
-# noise from 24 to 36 and rises from 40 on, so 32 keeps near the fewest
-# steps with 2,048 multiply-adds where 36 takes 2,592.  On n in
+# recursion (2 N^2 multiply-adds) and every far sum grow with N.  The n
+# 2..6 x alpha {0.5, 1, 2, 3} grid at t_max 200 and tol 1e-10 takes 3,121
+# DOP853 steps at order 24, 2,958 at 28, 2,879 at 32, 2,863 at 34, 2,862
+# at 36, 2,875 at 40 and 2,964 at 48, and 1,685 Adams nodes at each.  Its
+# solve time, measured in-process before the explicit stretch began with
+# Adams nodes, moved less than its noise from 24 to 36 and rose from 40
+# on, so 32 keeps within 0.6 % of the fewest steps with 2,048
+# multiply-adds where 36 takes 2,592.  On n in
 # {2, 3, 5, 7, 10} x alpha {0.15, 0.2, 0.3, 0.4, 0.5, 0.75, 1, 1.5, 2, 3,
 # 5, 10} at tol 1e-10 the wait still binds in 48 of the 58 cells that
 # return a profile at t_max 200 and in 47 at 2000: z already agrees with

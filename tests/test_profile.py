@@ -876,41 +876,71 @@ def _adams_candidate(prof, k):
     return pred, corr, rate * h_s
 
 
-def _adams_gate_ratio(prof, k):
-    """The larger of the two gates' readings at node k's candidate, each as
-    a fraction of its bound: the corrector's move in r, z and y against 0.1
-    of the error scale, and the rate times h_s against 0.106.  inf where the
+def _adams_readings(prof, k):
+    """Node k's candidate read against the Adams gates, each as a fraction
+    of its bound: the corrector's move in z and y against 0.1 of the error
+    scale, and the rate times h_s against 0.106; last, the move in r against
+    0.1 of its error scale, which no gate reads.  All inf where the
     candidate leaves float range."""
     try:
         pred, corr, rate_h = _adams_candidate(prof, k)
     except OverflowError:
-        return math.inf
+        return (math.inf,) * 4
     rtol = _stepper_rtol(prof.tol)
     scales = (_ATOL + rtol * abs(corr[0]), _ATOL + rtol * abs(corr[1]), rtol * abs(corr[2]))
-    moves = [abs(c - p) / (0.1 * s) for p, c, s in zip(pred, corr, scales)]
-    return max(*moves, rate_h / 0.106)
+    move_r, move_z, move_y = (abs(c - p) / (0.1 * s) for p, c, s in zip(pred, corr, scales))
+    return move_z, move_y, rate_h / 0.106, move_r
 
 
 def test_adams_nodes_meet_both_gates(monkeypatch):
     """On the 20 grid cells at t_max 200, every node from the launch to the
     switch, where DOP853 starts, is the Adams candidate bit for bit and
     meets both gates, and the candidate at the next node fails one of them.
-    The grid's Adams nodes are counted: a change that moves them has to say
-    so."""
+    The corrector moves r by at most 0.1 of its error scale at every Adams
+    node, so no gate on r would end the Adams part sooner.
+
+    Only DOP853's nodes run the handoff test.  That rests on the test
+    holding at no Adams node: z agrees with no converged far series to
+    rtol there, and the rate stays below the stability cap.  The grid's
+    Adams nodes are counted: a change that moves them has to say so."""
     _, starts = _record_attempts(monkeypatch)
+    rtol = _stepper_rtol(1e-10)
     adams_nodes = 0
     for n, alpha in _GRID:
         starts.clear()
-        prof = solve_profile(ModelParams(n, alpha), 200.0, 1e-10)
+        params = ModelParams(n, alpha)
+        prof = solve_profile(params, 200.0, 1e-10)
         ((t_switch, _),) = starts
         switch = prof.grid.tolist().index(t_switch)
         for k in range(prof.launch + 1, switch + 1):
             _, node, _ = _adams_candidate(prof, k)
             assert node == (prof.r[k], prof.phase_z[k - 1], prof.dr[k]), (n, alpha, k)
-            assert _adams_gate_ratio(prof, k) <= 1.0 + 1e-9, (n, alpha, k)
-        assert _adams_gate_ratio(prof, switch + 1) > 1.0 - 1e-9, (n, alpha)
+            assert max(_adams_readings(prof, k)) <= 1.0 + 1e-9, (n, alpha, k)
+        assert max(_adams_readings(prof, switch + 1)[:3]) > 1.0 - 1e-9, (n, alpha)
+        adams = slice(prof.launch + 1, switch + 1)
+        t, y, z = prof.grid[adams], prof.dr[adams], prof.phase_z[prof.launch:switch]
+        capped, converged, z_series = _capped_and_converged(params, 1e-10, t, y, z)
+        agrees = converged & (np.abs(z - z_series) <= rtol * np.abs(z))
+        assert not agrees.any() and not capped.any(), (n, alpha)
         adams_nodes += switch - prof.launch
     assert adams_nodes == 1_685
+
+
+@pytest.mark.parametrize("n, alpha, t_max, launch", [(3, 2.0, 3.0, 553), (2, 0.5, 2.0, 1_603)])
+def test_an_adams_part_that_reaches_t_max_builds_no_stepper(monkeypatch, n, alpha, t_max, launch):
+    """Where the Adams gates hold up to t_max, the Adams part fills every
+    node past the launch and no DOP853 stepper is built: none starts from a
+    zero interval.  (3, 2) at t_max 3 launches at node 553 of 572, and
+    (2, 0.5) at t_max 2 at node 1,603 of 1,632."""
+    attempts, starts = _record_attempts(monkeypatch)
+    prof = solve_profile(ModelParams(n, alpha), t_max, 1e-10)
+    last = len(prof.grid) - 1
+    assert starts == [] and attempts == []
+    assert (prof.launch, prof.handoff) == (launch, last)
+    for k in range(prof.launch + 1, last + 1):
+        _, node, _ = _adams_candidate(prof, k)
+        assert node == (prof.r[k], prof.phase_z[k - 1], prof.dr[k]), k
+    phase_trajectory(prof)
 
 
 @pytest.mark.parametrize("t_max", [200.0, 2000.0])
